@@ -1,21 +1,20 @@
 """Parameter-grid perf harness for the columnar serving engine.
 
-Sweeps the engine hot loop across the four axes that shape its cost
-profile — per-replica batch size, lifecycle ``EventClock`` bucket width
-(heap vs calendar-queue backend), control/telemetry cadence, and fleet
-size — running one elastic fleet per cell with exact (non-memoized)
-pricing so every cell exercises the columnar steady-run commit path, and
-recording end-to-end stages/second per cell.
+Sweeps the engine hot loop across the three axes that shape its cost
+profile — per-replica batch size, control/telemetry cadence, and fleet
+size — running one elastic fleet per cell so every cell exercises the
+columnar steady-run commit path, and recording end-to-end stages/second
+per cell.
 
 Usage (from the repo root, with ``PYTHONPATH=src``)::
 
     python benchmarks/perf/grid.py [--smoke] [--requests N]
                                    [--output engine_grid.json]
 
-``--smoke`` runs the reduced CI grid (4 cells, fewer requests) — the same
+``--smoke`` runs the reduced CI grid (2 cells, fewer requests) — the same
 cells the ``engine_grid`` BENCH_PERF entry summarizes as a geometric
 mean, so the committed regression gate covers the sweep while the
-per-cell breakdown ships as a CI artifact.  The full grid (36 cells) is
+per-cell breakdown ships as a CI artifact.  The full grid (12 cells) is
 for local before/after comparisons when touching the engine hot loop.
 
 Every cell also records a calibration-normalized rate (see
@@ -40,18 +39,16 @@ from repro.serving.simulator import SimulationLimits
 
 SCHEMA_VERSION = 1
 
-#: Full sweep: 3 batches x 3 bucket widths x 2 cadences x 2 fleet sizes.
+#: Full sweep: 3 batches x 2 cadences x 2 fleet sizes.
 FULL_AXES: dict[str, tuple] = {
     "batch": (4, 8, 16),
-    "bucket_width_s": (None, 0.5, 2.0),
     "control_interval_s": (0.25, 1.0),
     "fleet": (2, 4),
 }
 
-#: CI smoke: both EventClock backends, two fleet sizes, one batch/cadence.
+#: CI smoke: two fleet sizes, one batch/cadence.
 SMOKE_AXES: dict[str, tuple] = {
     "batch": (8,),
-    "bucket_width_s": (None, 0.5),
     "control_interval_s": (0.5,),
     "fleet": (1, 2),
 }
@@ -76,10 +73,9 @@ def smoke_grid() -> list[dict]:
 def run_cell(cell: dict, requests: int, seed: int = 0) -> dict:
     """Run one grid cell and return it annotated with its measured rate.
 
-    Exact pricing (``memoize_pricing=False``) keeps every replica on the
-    columnar steady-run path; the moderate ``lout_mean`` gives each
-    arrival a decode tail long enough for vectorized runs between
-    arrivals without making a cell take more than a couple of seconds.
+    The moderate ``lout_mean`` gives each arrival a decode tail long
+    enough for vectorized runs between arrivals without making a cell
+    take more than a couple of seconds.
     """
     model = mixtral()
     system = duplex_system(model, co_processing=True, expert_tensor_parallel=True)
@@ -98,9 +94,7 @@ def run_cell(cell: dict, requests: int, seed: int = 0) -> dict:
         warm_start_delay_s=0.1,
         max_batch=cell["batch"],
         seed=seed,
-        memoize_pricing=False,
         max_requests=requests,
-        lifecycle_bucket_width_s=cell["bucket_width_s"],
     )
     start = time.perf_counter()
     sim.run(limits)
@@ -151,12 +145,10 @@ def main() -> None:
 
     print(f"wrote {args.output} ({len(results)} cells, {requests} requests/cell)")
     print(f"calibration: {calibration:.1f} ops/s")
-    header = f"{'batch':>5s} {'bucket':>6s} {'cadence':>7s} {'fleet':>5s} {'stages/s':>10s}"
-    print(header)
+    print(f"{'batch':>5s} {'cadence':>7s} {'fleet':>5s} {'stages/s':>10s}")
     for cell in results:
-        bucket = "heap" if cell["bucket_width_s"] is None else f"{cell['bucket_width_s']:g}"
         print(
-            f"{cell['batch']:>5d} {bucket:>6s} {cell['control_interval_s']:>7g} "
+            f"{cell['batch']:>5d} {cell['control_interval_s']:>7g} "
             f"{cell['fleet']:>5d} {cell['stages_per_s']:>10.1f}"
         )
 

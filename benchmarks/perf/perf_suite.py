@@ -15,11 +15,8 @@ directly and records the repo's perf trajectory in a repo-root
   admission/prefill stages with vectorized decode runs; GLaM's 64
   experts make ``moe_heavy`` the MoE-dispatch stress test);
 * ``engine_grid`` — geometric-mean stages/second over the smoke cells of
-  the parameter-grid harness (``grid.py``: batch size x EventClock bucket
-  width x telemetry cadence x fleet size);
-* ``incremental_decode`` — stages/second through
-  :class:`~repro.serving.engine.IncrementalStagePricer` on a steady
-  decode run (the delta fast path);
+  the parameter-grid harness (``grid.py``: batch size x telemetry cadence
+  x fleet size);
 * ``autoscaled_cluster`` — end-to-end stages/second of an elastic fleet
   under the queue-depth policy (the control-plane hot path: routing,
   control ticks, lifecycle, cadence telemetry, engine stepping);
@@ -36,9 +33,8 @@ directly and records the repo's perf trajectory in a repo-root
   cache-hit admission hot path: radix acquire/commit/release per
   request, suffix-only reservation, counterfactual saved-prefill
   pricing);
-* ``fig13_sweep`` / ``fig13_sweep_fast`` — end-to-end Fig. 13 sweep
-  wall-clock on a reduced grid, single worker, in exact mode and with
-  the memoized+incremental fast path.
+* ``fig13_sweep`` — end-to-end Fig. 13 sweep wall-clock on a reduced
+  grid, single worker.
 
 Because CI hardware varies, every result also carries a *normalized*
 value: the raw metric divided by a fixed-work calibration score measured
@@ -56,12 +52,11 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.executor import SharedPricingCache, StageExecutor, StageWorkload
+from repro.core.executor import StageExecutor, StageWorkload
 from repro.core.system import duplex_system
 from repro.experiments import fig13
 from repro.models.config import glam, mixtral
 from repro.serving.autoscaler import ElasticFleetSimulator, QueueDepthPolicy
-from repro.serving.engine import IncrementalStagePricer
 from repro.serving.generator import WorkloadSpec
 from repro.serving.simulator import ServingSimulator, SimulationLimits
 
@@ -171,31 +166,14 @@ def bench_moe_heavy(stages: int, repeats: int) -> float:
     return _engine_hot_loop_rate(glam, stages, repeats)
 
 
-def bench_incremental_decode(iterations: int, repeats: int) -> float:
-    model = mixtral()
-    executor = StageExecutor(
-        duplex_system(model, co_processing=True, expert_tensor_parallel=True), model
-    )
-    base = np.random.default_rng(2).integers(100, 4000, size=64)
-
-    def run() -> int:
-        pricer = IncrementalStagePricer(executor)
-        for step in range(iterations):
-            pricer.price(StageWorkload.trusted(base + step))
-        return iterations
-
-    return _best_rate(run, repeats)
-
-
 def bench_autoscaled_cluster(requests: int, repeats: int) -> float:
     """Stages/second through an elastic fleet end to end.
 
     Exercises the control-plane hot path — per-arrival routing over
     ACTIVE views, fixed-cadence control ticks (lifecycle + policy +
-    fleet telemetry), and sliced drain — on top of memoized stage
-    pricing, so regressions in the controller itself (not the pricing
-    math) dominate the measurement.  Each repeat rebuilds the fleet with
-    a fresh fleet-scoped cache so every run does identical work.
+    fleet telemetry), and sliced drain — together with the replicas'
+    stage pricing.  Each repeat rebuilds the fleet so every run does
+    identical work.
     """
     model = mixtral()
     system = duplex_system(model, co_processing=True, expert_tensor_parallel=True)
@@ -217,7 +195,6 @@ def bench_autoscaled_cluster(requests: int, repeats: int) -> float:
             max_batch=8,
             seed=0,
             max_requests=requests,
-            shared_pricing_cache=SharedPricingCache(),
         )
         sim.run(limits)
         return sum(engine.stages for engine in sim.engines)
@@ -232,8 +209,8 @@ def bench_sharded_fleet(requests: int, repeats: int) -> float:
     shared-expert-free all-to-all pricing over multi-node topologies, and
     device-budget accounting — behind the cluster router.  The fleet
     mixes a wide single replica with two narrow ones, so routing sees
-    genuinely unequal replicas.  Each repeat rebuilds the fleet with a
-    fresh fleet-scoped cache so every run does identical work.
+    genuinely unequal replicas.  Each repeat rebuilds the fleet so every
+    run does identical work.
     """
     from repro.serving.cluster import ClusterSimulator, ShardedReplicaSpec
 
@@ -255,7 +232,6 @@ def bench_sharded_fleet(requests: int, repeats: int) -> float:
             max_batch=8,
             seed=0,
             max_requests=requests,
-            shared_pricing_cache=SharedPricingCache(),
         )
         sim.run(limits)
         return sum(handle.replica.engine.stages for handle in sim.handles)
@@ -346,8 +322,8 @@ def bench_chaos_recovery(requests: int, repeats: int) -> float:
     attached — but empty — stage-time profile) while the beyond-horizon
     crash trace guarantees no fault ever fires, so the measurement
     isolates exactly the overhead fault support adds to the fault-free
-    hot path.  Each repeat rebuilds the fleet with a fresh fleet-scoped
-    cache so every run does identical work.
+    hot path.  Each repeat rebuilds the fleet so every run does identical
+    work.
     """
     from repro.serving.cluster import ClusterSimulator
     from repro.serving.faults import FaultConfig, FaultInjector, RetryPolicy, StageTimeProfile
@@ -368,7 +344,6 @@ def bench_chaos_recovery(requests: int, repeats: int) -> float:
             max_requests=requests,
             faults=FaultInjector(FaultConfig(crash_times=((1e9, 0),), crash_mttr_s=1.0)),
             retry=RetryPolicy(),
-            shared_pricing_cache=SharedPricingCache(),
         )
         for handle in sim.handles:
             for engine in handle.replica.engines:
@@ -382,8 +357,8 @@ def bench_chaos_recovery(requests: int, repeats: int) -> float:
 def bench_engine_grid(requests: int, repeats: int) -> float:
     """Geometric-mean stages/second over the grid harness's smoke cells.
 
-    One scalar summary of the batch x bucket-width x cadence x fleet-size
-    sweep (see ``grid.py``), so the regression gate covers the whole
+    One scalar summary of the batch x cadence x fleet-size sweep (see
+    ``grid.py``), so the regression gate covers the whole
     columnar-engine parameter surface with a single BENCH_PERF key; the
     per-cell breakdown ships as the ``engine_grid.json`` CI artifact.
     """
@@ -397,17 +372,11 @@ def bench_engine_grid(requests: int, repeats: int) -> float:
     return best
 
 
-def bench_fig13_sweep(repeats: int, fast: bool) -> float:
+def bench_fig13_sweep(repeats: int) -> float:
     limits = SimulationLimits(**FIG13_LIMITS)
 
     def run() -> None:
-        fig13.run(
-            qps_values=FIG13_QPS,
-            limits=limits,
-            workers=1,
-            memoize=fast,
-            incremental=fast,
-        )
+        fig13.run(qps_values=FIG13_QPS, limits=limits, workers=1)
 
     run()  # warm imports and caches outside the timed window
     return _best_wall(run, repeats)
@@ -442,17 +411,13 @@ def run_suite(scale: float = 1.0, repeats: int = 3) -> dict:
     record("mixed", bench_mixed(iters(12000), repeats), "stages/s")
     record("moe_heavy", bench_moe_heavy(iters(6000), repeats), "stages/s")
     record("engine_grid", bench_engine_grid(iters(160), repeats), "stages/s")
-    record("incremental_decode", bench_incremental_decode(iters(3000), repeats), "stages/s")
     record("autoscaled_cluster", bench_autoscaled_cluster(iters(400), repeats), "stages/s")
     record("sharded_fleet", bench_sharded_fleet(iters(400), repeats), "stages/s")
     record("paged_serving", bench_paged_serving(iters(80), repeats), "stages/s")
     record("chaos_recovery", bench_chaos_recovery(iters(400), repeats), "stages/s")
     record("prefix_reuse", bench_prefix_reuse(iters(200), repeats), "stages/s")
     if scale >= 0.99:
-        record("fig13_sweep", bench_fig13_sweep(repeats, fast=False), "s", lower_is_better=True)
-        record(
-            "fig13_sweep_fast", bench_fig13_sweep(repeats, fast=True), "s", lower_is_better=True
-        )
+        record("fig13_sweep", bench_fig13_sweep(repeats), "s", lower_is_better=True)
 
     return {
         "schema": SCHEMA_VERSION,

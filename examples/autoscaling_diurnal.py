@@ -6,8 +6,8 @@ between a nighttime trough and a daytime peak.  A fixed fleet must be
 provisioned for the peak (wasting replicas all night) or for the trough
 (missing SLOs all day); an elastic fleet tracks the curve.  This example
 drives one day-cycle through the SLO-tracking policy and prints the
-fleet time series — watch replicas provision (cold the first time, warm
-once the shared pricing cache is populated), serve, and drain back down
+fleet time series — watch replicas provision (warm once the fleet has
+served), serve, and drain back down
 as the wave passes — then compares SLO attainment and replica-seconds
 against the two fixed-fleet corner cases.
 

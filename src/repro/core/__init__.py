@@ -21,23 +21,13 @@ from repro.core.coprocessing import (
     assign_from_times,
 )
 from repro.core.device import DeviceModel, bank_pim_duplex_device, duplex_device, gpu_device, pim_only_device
-from repro.core.executor import (
-    GLOBAL_PRICING_CACHE,
-    SharedPricingCache,
-    StageExecutor,
-    StageResult,
-    StageWorkload,
-    install_shared_pricing_cache,
-    snapshot_shared_pricing_cache,
-)
+from repro.core.executor import StageExecutor, StageResult, StageWorkload
 from repro.core.system import SystemConfig, SystemKind, default_topology
 
 __all__ = [
     "DeviceModel",
     "ExpertAssignment",
     "ExpertTimeLookup",
-    "GLOBAL_PRICING_CACHE",
-    "SharedPricingCache",
     "SpaceGroupPlan",
     "StageExecutor",
     "StageResult",
@@ -50,7 +40,5 @@ __all__ = [
     "default_topology",
     "duplex_device",
     "gpu_device",
-    "install_shared_pricing_cache",
     "pim_only_device",
-    "snapshot_shared_pricing_cache",
 ]

@@ -33,7 +33,6 @@ Accounting conventions:
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -219,102 +218,9 @@ class DecodeRunPricing:
     n_stages: int
 
 
-@dataclass(frozen=True)
-class PricingCacheInfo:
-    """Hit/miss counters of the memoized stage-pricing cache."""
-
-    hits: int
-    misses: int
-    size: int
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-
-class SharedPricingCache:
-    """Process-wide memoized stage prices, keyed by executor pricing spec.
-
-    Every executor with identical pricing inputs — system, model, bucket
-    width, gating skew — prices a given quantized composition to exactly the
-    same :class:`StageResult` (memoized entries always use deterministic
-    expected-counts gating), so their caches can share one store.  Cluster
-    replicas do exactly that: N replicas of one spec re-derive each bucketed
-    price once instead of N times.  Hit/miss counters stay per executor;
-    only the store is shared.
-
-    The cache pickles cleanly (specs are frozen configs, values are plain
-    dataclasses), so a warmed cache can be shipped to sweep workers — see
-    :func:`snapshot_shared_pricing_cache` / :func:`install_shared_pricing_cache`
-    and the ``warm_cache`` argument of :func:`repro.experiments.sweep.run_sweep`.
-    """
-
-    def __init__(self) -> None:
-        self._stores: dict[tuple, dict[tuple, StageResult]] = {}
-
-    def store_for(self, spec: tuple) -> dict[tuple, StageResult]:
-        """The (shared, mutable) price store for one pricing spec."""
-        return self._stores.setdefault(spec, {})
-
-    @property
-    def n_specs(self) -> int:
-        return len(self._stores)
-
-    def __len__(self) -> int:
-        """Total cached stage prices across all specs."""
-        return sum(len(store) for store in self._stores.values())
-
-    def clear(self) -> None:
-        """Drop every store's entries (stores stay bound to live executors)."""
-        for store in self._stores.values():
-            store.clear()
-
-    def merge(self, other: "SharedPricingCache") -> int:
-        """Absorb another cache's entries (warm start); returns entries added."""
-        added = 0
-        for spec, store in other._stores.items():
-            mine = self._stores.setdefault(spec, {})
-            before = len(mine)
-            for key, result in store.items():
-                mine.setdefault(key, result)
-            added += len(mine) - before
-        return added
-
-
-#: The process-wide cache executors opt into with ``shared_cache=True``.
-GLOBAL_PRICING_CACHE = SharedPricingCache()
-
 #: At or below this many resident experts, the scalar per-count price cache
 #: beats the batched numpy pass (dict hits vs fixed array overhead).
 _SCALAR_EXPERT_MAX = 16
-
-
-def snapshot_shared_pricing_cache() -> bytes:
-    """Serialize the process-wide pricing cache for warm-starting workers."""
-    return pickle.dumps(GLOBAL_PRICING_CACHE)
-
-
-def install_shared_pricing_cache(
-    payload: bytes | SharedPricingCache, target: SharedPricingCache | None = None
-) -> int:
-    """Merge a snapshot into a pricing cache; returns entries added.
-
-    Sweep workers call this (via ``run_sweep(..., warm_cache=...)``) so each
-    process starts from the parent's already-derived bucketed prices.
-
-    Args:
-        payload: a :func:`snapshot_shared_pricing_cache` payload or a
-            live cache.
-        target: cache to merge into (default: the process-wide
-            :data:`GLOBAL_PRICING_CACHE`); the elastic fleet controller
-            passes its fleet-scoped cache here to warm-start spin-ups.
-    """
-    cache = pickle.loads(payload) if isinstance(payload, (bytes, bytearray)) else payload
-    if not isinstance(cache, SharedPricingCache):
-        raise ConfigError("expected a SharedPricingCache snapshot")
-    destination = GLOBAL_PRICING_CACHE if target is None else target
-    return destination.merge(cache)
 
 
 class StageExecutor:
@@ -328,28 +234,6 @@ class StageExecutor:
         seed: RNG seed for gating.
         deterministic_gating: use expected token counts instead of sampling
             (useful for tests and calibration sweeps).
-        memoize: cache stage prices behind a quantized composition key.
-            Decode context lengths are bucketed to ``context_bucket_tokens``
-            and snapped to sorted bucket midpoints, and identical keys
-            return the cached result — large sweeps re-price only ~one
-            stage per bucket crossing instead of every stage.  The
-            quantization error is bounded by half a bucket of context per
-            decode (well under 1% of stage latency at paper sequence
-            lengths).  Cached entries also price expert routing with
-            *expected* counts rather than per-stage samples — a
-            distribution change, not a bounded error: sampled-routing
-            straggler stages disappear, so MoE tail percentiles (TBT
-            p99) come out tighter than the exact path's.  Use
-            ``memoize=False`` (the default) wherever sampled-gating tails
-            are the point of the experiment.
-        context_bucket_tokens: bucket width for the memoization key.
-        shared_cache: where memoized prices live.  ``False`` (default)
-            keeps a private per-executor store; ``True`` joins the
-            process-wide :data:`GLOBAL_PRICING_CACHE`, sharing bucketed
-            prices with every executor of the same pricing spec (system,
-            model, bucket, skew) — what cluster replicas and warm-started
-            sweep workers use; a :class:`SharedPricingCache` instance
-            scopes sharing explicitly.  Ignored unless ``memoize=True``.
     """
 
     def __init__(
@@ -359,35 +243,18 @@ class StageExecutor:
         gating_skew: float = 0.0,
         seed: int | None = 0,
         deterministic_gating: bool = False,
-        memoize: bool = False,
-        context_bucket_tokens: int = 64,
-        shared_cache: bool | SharedPricingCache = False,
     ) -> None:
-        if context_bucket_tokens < 1:
-            raise ConfigError("context_bucket_tokens must be at least 1")
         self.system = system
         self.model = model
         self.math = LayerMath(model)
         self.collectives = CollectiveModel(system.topology)
         self.deterministic_gating = deterministic_gating
-        self.memoize = memoize
-        self.context_bucket_tokens = context_bucket_tokens
-        self._gating_skew = gating_skew
-        # NB: `shared_cache is not False`, not truthiness — an *empty*
-        # SharedPricingCache has len() == 0 and must still be joined.
-        if memoize and shared_cache is not False:
-            cache = GLOBAL_PRICING_CACHE if shared_cache is True else shared_cache
-            self._price_cache = cache.store_for(self.pricing_spec())
-        else:
-            self._price_cache = {}
-        self._cache_hits = 0
-        self._cache_misses = 0
-        # Exact-pricing charge caches: every FC-side operator of a stage
-        # depends only on its token count, and the per-stage collective time
-        # only on the local token count, so each distinct count is priced
-        # once — (category, per-layer time, per-replica energies) — and
-        # replayed afterwards.  Cached values are the very floats the
-        # uncached path would compute: exact reuse, not approximation.
+        # Charge caches: every FC-side operator of a stage depends only on
+        # its token count, and the per-stage collective time only on the
+        # local token count, so each distinct count is priced once —
+        # (category, per-layer time, per-replica energies) — and replayed
+        # afterwards.  Cached values are the very floats the uncached path
+        # would compute: exact reuse, not approximation.
         self._fc_stage_cache: dict[tuple[int, int], tuple] = {}
         self._gate_cache: dict[int, tuple] = {}
         self._shared_expert_cache: dict[int, tuple] = {}
@@ -447,15 +314,6 @@ class StageExecutor:
         self._fc_replica_count = self._fc_replicas()
         self._attention_replica_count = self._attention_replicas()
 
-    def pricing_spec(self) -> tuple:
-        """Identity of this executor's memoized prices (shared-cache key).
-
-        Memoized entries are priced deterministically from the quantized
-        composition, so two executors agree on every cached price exactly
-        when these inputs agree (the seed and gating mode never matter).
-        """
-        return ("stage-prices", self.system, self.model, self.context_bucket_tokens, self._gating_skew)
-
     def _build_expert_segments(self) -> list[tuple[int, int, int]]:
         """Precomputed (start, stop, multiplicity) slices of the global counts.
 
@@ -505,129 +363,6 @@ class StageExecutor:
         return self.system.device.pim
 
     # ------------------------------------------------------------------
-    # main entry
-    # ------------------------------------------------------------------
-    def run_stage(self, workload: StageWorkload) -> StageResult:
-        """Execute one stage and return its latency/energy breakdown.
-
-        With ``memoize`` enabled, stages whose quantized composition was
-        priced before return the cached breakdown (copied, so callers may
-        mutate); otherwise the stage is priced exactly.
-        """
-        if not self.memoize:
-            return self._price_stage(workload, deterministic=self.deterministic_gating)
-        key = self._cache_key(workload)
-        cached = self._price_cache.get(key)
-        if cached is None:
-            self._cache_misses += 1
-            cached = self._price_stage(self._quantize(workload), deterministic=True)
-            self._price_cache[key] = cached
-        else:
-            self._cache_hits += 1
-        return self._copy_result(cached)
-
-    # ------------------------------------------------------------------
-    # memoized pricing
-    # ------------------------------------------------------------------
-    def pricing_cache_info(self) -> PricingCacheInfo:
-        """Hit/miss/size counters of the memoized pricing cache."""
-        return PricingCacheInfo(self._cache_hits, self._cache_misses, len(self._price_cache))
-
-    def clear_pricing_cache(self) -> None:
-        self._price_cache.clear()
-        self._cache_hits = 0
-        self._cache_misses = 0
-
-    def _cache_key(self, workload: StageWorkload) -> tuple:
-        bucket = self.context_bucket_tokens
-        decode = np.asarray(workload.decode_context_lengths, dtype=np.int64) // bucket
-        decode.sort()
-        return (
-            tuple(decode.tolist()),
-            workload.prefill_lengths,
-            tuple(context // bucket for context in workload.prefill_contexts),
-        )
-
-    def _bucket_midpoint(self, length: int) -> int:
-        bucket = self.context_bucket_tokens
-        return 0 if length == 0 else (length // bucket) * bucket + bucket // 2
-
-    def _quantize(self, workload: StageWorkload) -> StageWorkload:
-        """Snap context lengths to bucket midpoints (the key's representative).
-
-        Decode contexts are also *sorted*: the cache key is a multiset, so
-        the priced representative must be canonical too — node 0's
-        ``[::n_nodes]`` data-parallel share is order-sensitive, and pricing
-        the arrival order would let permutations of one multiset silently
-        share a wrong price on multi-node systems.
-        """
-        bucket = self.context_bucket_tokens
-        ctx = np.asarray(workload.decode_context_lengths, dtype=np.int64)
-        midpoints = (ctx // bucket) * bucket + bucket // 2
-        midpoints[ctx == 0] = 0
-        decode = np.sort(midpoints)
-        return StageWorkload(
-            decode_context_lengths=decode,
-            prefill_lengths=workload.prefill_lengths,
-            prefill_context_lengths=tuple(
-                self._bucket_midpoint(int(c)) for c in workload.prefill_contexts
-            )
-            if workload.prefill_context_lengths
-            else (),
-        )
-
-    @staticmethod
-    def _copy_result(cached: StageResult) -> StageResult:
-        return StageResult(
-            latency_s=cached.latency_s,
-            time_by_category=dict(cached.time_by_category),
-            dram_energy_by_category=dict(cached.dram_energy_by_category),
-            compute_energy_by_category=dict(cached.compute_energy_by_category),
-            comm_energy_j=cached.comm_energy_j,
-            is_mixed=cached.is_mixed,
-            tokens_generated=cached.tokens_generated,
-        )
-
-    # ------------------------------------------------------------------
-    # incremental (delta) pricing
-    # ------------------------------------------------------------------
-    def reprice_decode_delta(
-        self, base: StageResult, context_lengths: np.ndarray
-    ) -> StageResult:
-        """Re-price only decode attention of a decoding-only stage.
-
-        The delta-aware fast path of
-        :class:`~repro.serving.engine.IncrementalStagePricer`: in steady
-        decode, consecutive stages keep the same request set (every other
-        operator depends only on the unchanged token count) and grow each
-        context by one token, so only the decode-attention operator — and
-        the latency it contributes — needs re-deriving.  The unit choice is
-        re-evaluated too, so a stage crossing the xPU/PIM break-even point
-        still lands on the right unit.  Latency is adjusted by the
-        attention-time delta, which matches a full exact reprice to within
-        float re-association (well under 1e-9 relative).
-        """
-        local_ctx = np.asarray(context_lengths)[:: self._n_nodes]
-        flops, bytes_read, bytes_written = self.math.attention_decode_fields(
-            local_ctx, self._decode_kv_fraction, validate=False
-        )
-        unit = self._decode_attention_unit(flops, bytes_read, bytes_written)
-        n_layers = self.model.n_layers
-        replicas = self._attention_replica_count
-        time = unit.op_time(flops, bytes_read, bytes_written) * n_layers
-        result = self._copy_result(base)
-        previous = result.time_by_category.get(OpCategory.ATTENTION_DECODE, 0.0)
-        result.time_by_category[OpCategory.ATTENTION_DECODE] = time
-        result.dram_energy_by_category[OpCategory.ATTENTION_DECODE] = (
-            unit.dram_energy(bytes_read, bytes_written) * replicas * n_layers
-        )
-        result.compute_energy_by_category[OpCategory.ATTENTION_DECODE] = (
-            unit.compute_energy(flops) * replicas * n_layers
-        )
-        result.latency_s = base.latency_s - previous + time
-        return result
-
-    # ------------------------------------------------------------------
     # steady decode runs (the columnar fast path)
     # ------------------------------------------------------------------
     def price_decode_run(
@@ -646,11 +381,9 @@ class StageExecutor:
         RNG stream, batched via
         :meth:`~repro.models.gating.ExpertRouter.route_batch`.
 
-        Returns None when this executor cannot take the fast path
-        (memoized pricing quantizes compositions; the scalar path must
-        stay authoritative there).
+        Returns None for an empty batch or run.
         """
-        if self.memoize or n_stages < 1:
+        if n_stages < 1:
             return None
         model = self.model
         ctx = np.asarray(context_lengths, dtype=np.int64)
@@ -663,11 +396,7 @@ class StageExecutor:
         local_tokens = b_local
         n_layers = model.n_layers
 
-        fc_key = (local_tokens, b_local)
-        fc_charge = self._fc_stage_cache.get(fc_key)
-        if fc_charge is None:
-            fc_charge = self._build_fc_stage_charge(local_tokens, b_local)
-            self._fc_stage_cache[fc_key] = fc_charge
+        fc_charge = self._fc_stage_charge(local_tokens, b_local)
 
         # ---- attention, vectorized over the stage axis ----------------
         m = model
@@ -721,11 +450,7 @@ class StageExecutor:
             moe_priced = True
             assert self._router is not None
             if self.deterministic_gating:
-                counts0 = self._expected_counts_cache.get(batch)
-                if counts0 is None:
-                    counts0 = np.rint(self._router.expected_counts(batch)).astype(np.int64)
-                    self._expected_counts_cache[batch] = counts0
-                counts_mat = np.tile(counts0, (n_run, 1))
+                counts_mat = np.tile(self._expected_counts(batch), (n_run, 1))
             else:
                 rng_state = self._router.state_snapshot()
                 counts_mat = self._router.route_batch(batch, n_run)
@@ -735,11 +460,7 @@ class StageExecutor:
             latency_v = latency_v + moe_time_v
         latency_v = latency_v + fc_charge[1]
 
-        comm = self._comm_cache.get(local_tokens)
-        if comm is None:
-            comm = self._communication_cost(local_tokens)
-            self._comm_cache[local_tokens] = comm
-        comm_total, comm_energy = comm
+        comm_total, comm_energy = self._communication_cost(local_tokens)
         latency_v = latency_v + comm_total
         latency_v = latency_v + fc_charge[2]
         latency_v = latency_v + fc_charge[3]
@@ -833,13 +554,7 @@ class StageExecutor:
         """
         model, system = self.model, self.system
         layers = model.n_moe_layers
-        charge = self._gate_cache.get(local_tokens)
-        if charge is None:
-            gate_unit = self._xpu if self._xpu is not None else self._pim
-            assert gate_unit is not None
-            gate = self.math.gate(local_tokens, self._fc_fraction)
-            charge = self._build_charge(gate_unit, gate, self._fc_replicas())
-            self._gate_cache[local_tokens] = charge
+        charge = self._gate_charge(local_tokens)
         gate_time = charge[1]
         gate_dram = charge[2] * layers
         gate_comp = charge[3] * layers
@@ -945,9 +660,10 @@ class StageExecutor:
         return moe_time_v, moe_dram_v, moe_comp_v
 
     # ------------------------------------------------------------------
-    # exact pricing
+    # main entry
     # ------------------------------------------------------------------
-    def _price_stage(self, workload: StageWorkload, deterministic: bool) -> StageResult:
+    def run_stage(self, workload: StageWorkload) -> StageResult:
+        """Execute one stage and return its latency/energy breakdown."""
         model, system = self.model, self.system
         decode_ctx = workload.decode_context_lengths
         prefills = workload.prefill_lengths
@@ -978,12 +694,9 @@ class StageExecutor:
         # positions below.
         fc_charge = None
         if local_tokens > 0:
-            outputs = int(local_ctx.size) + len(local_prefill)
-            fc_key = (local_tokens, outputs)
-            fc_charge = self._fc_stage_cache.get(fc_key)
-            if fc_charge is None:
-                fc_charge = self._build_fc_stage_charge(local_tokens, outputs)
-                self._fc_stage_cache[fc_key] = fc_charge
+            fc_charge = self._fc_stage_charge(
+                local_tokens, int(local_ctx.size) + len(local_prefill)
+            )
             latency += fc_charge[0]  # QKV + projection, all layers
             result.time_by_category[OpCategory.FC] = fc_charge[4]
             result.dram_energy_by_category[OpCategory.FC] = fc_charge[5]
@@ -1026,7 +739,7 @@ class StageExecutor:
 
         # ---- FFN / MoE ------------------------------------------------------
         if model.is_moe:
-            latency += self._moe_layers_time(result, workload, local_tokens, deterministic)
+            latency += self._moe_layers_time(result, workload, local_tokens)
         if fc_charge is not None:
             latency += fc_charge[1]  # dense FFN layers (exact 0.0 for pure MoE)
 
@@ -1043,6 +756,15 @@ class StageExecutor:
         if latency <= 0:
             raise SimulationError("stage produced non-positive latency")
         return result
+
+    def _fc_stage_charge(self, local_tokens: int, outputs: int) -> tuple:
+        """:meth:`_build_fc_stage_charge`, cached per composition."""
+        key = (local_tokens, outputs)
+        charge = self._fc_stage_cache.get(key)
+        if charge is None:
+            charge = self._build_fc_stage_charge(local_tokens, outputs)
+            self._fc_stage_cache[key] = charge
+        return charge
 
     def _build_fc_stage_charge(self, local_tokens: int, outputs: int) -> tuple:
         """Fused FC-side charge of one stage composition.
@@ -1100,7 +822,7 @@ class StageExecutor:
     # MoE
     # ------------------------------------------------------------------
     def _moe_layers_time(
-        self, result: StageResult, workload: StageWorkload, local_tokens: int, deterministic: bool
+        self, result: StageResult, workload: StageWorkload, local_tokens: int
     ) -> float:
         """Latency contribution of all MoE layers (gate + experts)."""
         assert self._router is not None
@@ -1108,27 +830,15 @@ class StageExecutor:
         layers = model.n_moe_layers
         if workload.total_tokens == 0 or layers == 0:
             return 0.0
-        if deterministic:
-            counts = self._expected_counts_cache.get(workload.total_tokens)
-            if counts is None:
-                counts = np.rint(
-                    self._router.expected_counts(workload.total_tokens)
-                ).astype(np.int64)
-                self._expected_counts_cache[workload.total_tokens] = counts
+        if self.deterministic_gating:
+            counts = self._expected_counts(workload.total_tokens)
         else:
             counts = self._router.route(workload.total_tokens)
 
         gate_time = 0.0
         shared_time = 0.0
         if local_tokens > 0:
-            charge = self._gate_cache.get(local_tokens)
-            if charge is None:
-                gate_unit = self._xpu if self._xpu is not None else self._pim
-                assert gate_unit is not None
-                gate = self.math.gate(local_tokens, self._fc_fraction)
-                charge = self._build_charge(gate_unit, gate, self._fc_replicas())
-                self._gate_cache[local_tokens] = charge
-            gate_time = self._apply_charge(result, charge, layers)
+            gate_time = self._apply_charge(result, self._gate_charge(local_tokens), layers)
             shared = self._shared_expert_charge(local_tokens)
             if shared is not None:
                 shared_time = self._apply_charge(result, shared, layers)
@@ -1150,6 +860,26 @@ class StageExecutor:
                 )
         result.add_time(OpCategory.MOE, worst * layers)
         return (gate_time + shared_time + worst) * layers
+
+    def _expected_counts(self, tokens: int) -> np.ndarray:
+        """Deterministic-gating routed counts (rounded expectations), cached."""
+        counts = self._expected_counts_cache.get(tokens)
+        if counts is None:
+            assert self._router is not None
+            counts = np.rint(self._router.expected_counts(tokens)).astype(np.int64)
+            self._expected_counts_cache[tokens] = counts
+        return counts
+
+    def _gate_charge(self, local_tokens: int) -> tuple:
+        """Charge of the MoE gate at one local token count (cached)."""
+        charge = self._gate_cache.get(local_tokens)
+        if charge is None:
+            gate_unit = self._xpu if self._xpu is not None else self._pim
+            assert gate_unit is not None
+            gate = self.math.gate(local_tokens, self._fc_fraction)
+            charge = self._build_charge(gate_unit, gate, self._fc_replica_count)
+            self._gate_cache[local_tokens] = charge
+        return charge
 
     def _shared_expert_charge(self, local_tokens: int) -> tuple | None:
         """Charge of the always-on shared experts at one local token count.
@@ -1441,18 +1171,21 @@ class StageExecutor:
         """
         if local_tokens == 0:
             return 0.0
-        cached = self._comm_cache.get(local_tokens)
-        if cached is None:
-            cached = self._communication_cost(local_tokens)
-            self._comm_cache[local_tokens] = cached
-        total, energy = cached
+        total, energy = self._communication_cost(local_tokens)
         if total > 0:
             result.add_time(OpCategory.COMMUNICATION, total)
             result.comm_energy_j += energy
         return total
 
     def _communication_cost(self, local_tokens: int) -> tuple[float, float]:
-        """(collective seconds, wire joules) for one stage's local tokens."""
+        """(collective seconds, wire joules) for one stage's local tokens (cached)."""
+        cached = self._comm_cache.get(local_tokens)
+        if cached is None:
+            cached = self._derive_communication_cost(local_tokens)
+            self._comm_cache[local_tokens] = cached
+        return cached
+
+    def _derive_communication_cost(self, local_tokens: int) -> tuple[float, float]:
         model, system = self.model, self.system
         coll = self.collectives
         activation_bytes = local_tokens * model.hidden * model.dtype_bytes

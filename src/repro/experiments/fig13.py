@@ -7,12 +7,7 @@ stages are bandwidth-bound); at high QPS the 2xGPU system wins the tail
 saturates first — beyond its capacity the queue grows without bound and
 T2FT explodes — while Duplex sustains roughly the 2xGPU arrival rate.
 
-The 21-point grid can fan out over a process pool (``workers``) and/or
-use memoized stage pricing (``memoize=True``, several times faster).
-The default stays exact: memoized pricing replaces sampled expert
-routing with expected counts, which removes the gating-straggler stages
-that this figure's tail percentiles exist to show — use the fast path
-for load exploration, the exact one for the paper artefact.
+The 21-point grid can fan out over a process pool (``workers``).
 """
 
 from __future__ import annotations
@@ -59,9 +54,7 @@ def _qps_point(
     max_batch: int,
     limits: SimulationLimits,
     seed: int,
-    memoize: bool,
     scenario: str | None = None,
-    incremental: bool = False,
 ) -> QpsRow:
     """Price one (system, QPS) grid point (process-pool worker).
 
@@ -75,16 +68,7 @@ def _qps_point(
         workload: WorkloadSpec | object = get_scenario(scenario).at_qps(qps).source(seed=seed)
     else:
         workload = WorkloadSpec(lin_mean=lin, lout_mean=lout, qps=qps)
-    sim = ServingSimulator(
-        system,
-        model,
-        workload,
-        max_batch=max_batch,
-        seed=seed,
-        memoize_pricing=memoize,
-        incremental_pricing=incremental,
-        shared_pricing_cache=memoize,
-    )
+    sim = ServingSimulator(system, model, workload, max_batch=max_batch, seed=seed)
     report = sim.run(limits)
     return QpsRow(
         system_key, qps,
@@ -100,47 +84,29 @@ def run(
     max_batch: int = 128,
     limits: SimulationLimits | None = None,
     seed: int = 0,
-    memoize: bool = False,
     workers: int | None = 1,
     scenario: str | None = None,
-    incremental: bool = False,
-    warm_cache: bytes | None = None,
 ) -> list[QpsRow]:
     """Regenerate the Fig. 13 QPS sweep.
 
     Args:
-        memoize: memoized stage pricing — several times faster, but
-            expected-counts gating tightens the MoE tail percentiles
-            (exact sampled pricing is the default, and the artefact).
-            Memoized points share the process-wide pricing cache, so a
-            sweep prices each bucketed composition once across its grid.
         workers: process-pool width; 1 (default) runs in-process,
             None uses one worker per CPU.
         scenario: registered scenario name (see
             :mod:`repro.serving.scenarios`) to sweep instead of the
             Gaussian-Poisson spec; each grid point rescales its arrival
             process to the point's QPS.
-        incremental: delta-price steady-decode stages (the serving-layer
-            fast path; see
-            :class:`~repro.serving.engine.IncrementalStagePricer`).  Like
-            ``memoize``, this trades sampled-gating tails for speed —
-            keep it off for the paper artefact.
-        warm_cache: optional
-            :func:`~repro.core.executor.snapshot_shared_pricing_cache`
-            payload installed in every worker before pricing (useful with
-            ``memoize=True`` and ``workers > 1``).
     """
     limits = limits or SimulationLimits(max_stages=1500, warmup_stages=150)
     param_sets = [
         dict(
             system_key=name, qps=qps, lin=lin, lout=lout,
-            max_batch=max_batch, limits=limits, seed=seed, memoize=memoize,
-            scenario=scenario, incremental=incremental,
+            max_batch=max_batch, limits=limits, seed=seed, scenario=scenario,
         )
         for name in default_systems()
         for qps in qps_values
     ]
-    return run_sweep(_qps_point, param_sets, workers=workers, warm_cache=warm_cache)
+    return run_sweep(_qps_point, param_sets, workers=workers)
 
 
 def saturation_qps(rows: list[QpsRow], system: str, blowup_factor: float = 10.0) -> float:

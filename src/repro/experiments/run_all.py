@@ -11,10 +11,7 @@ without pytest.
 
 Sweep-shaped artefacts (currently Fig. 13's 21-point QPS grid) fan their
 grid points out over a process pool; ``--workers`` sets the pool width
-(default: one per CPU, ``--workers 1`` for serial).  ``--fast`` prices
-sweeps with memoized stage pricing — several times faster, with the
-caveat that expected-counts expert routing tightens MoE tail
-percentiles relative to the exact sampled artefact.
+(default: one per CPU, ``--workers 1`` for serial).
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ from repro.experiments import (
 )
 
 
-def _artefacts(workers: int | None = None, fast: bool = False):
+def _artefacts(workers: int | None = None):
     """(name, callable returning rendered text) for every artefact."""
     yield "table1_models", lambda: table1.format_rows(table1.run())
     yield "fig04a_breakdown", lambda: fig4.format_breakdown(fig4.run_breakdown())
@@ -57,7 +54,7 @@ def _artefacts(workers: int | None = None, fast: bool = False):
     yield "fig08_edap", lambda: fig8.format_rows(fig8.run())
     yield "fig11_throughput", lambda: fig11.format_rows(fig11.run())
     yield "fig12_latency", lambda: fig12.format_rows(fig12.run())
-    yield "fig13_qps", lambda: fig13.format_rows(fig13.run(workers=workers, memoize=fast))
+    yield "fig13_qps", lambda: fig13.format_rows(fig13.run(workers=workers))
     yield "capacity_planning", lambda: capacity.format_rows(capacity.run(workers=workers))
     yield "paging_policies", lambda: paging.format_rows(paging.run(workers=workers))
     yield "prefix_reuse", lambda: prefix.format_rows(prefix.run(workers=workers))
@@ -84,23 +81,13 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="process-pool width for sweep artefacts (default: one per CPU)",
     )
-    parser.add_argument(
-        "--fast",
-        action="store_true",
-        help="memoized stage pricing for sweeps (tightens MoE tail percentiles)",
-    )
     args = parser.parse_args(argv)
     output_dir = args.output_dir
     output_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     # Calling _artefacts() arg-less under default flags keeps the registry
     # monkeypatchable as a zero-arg callable.
-    kwargs = {}
-    if args.workers is not None:
-        kwargs["workers"] = args.workers
-    if args.fast:
-        kwargs["fast"] = True
-    artefacts = _artefacts(**kwargs)
+    artefacts = _artefacts() if args.workers is None else _artefacts(workers=args.workers)
     for name, render in artefacts:
         t0 = time.perf_counter()
         text = render()

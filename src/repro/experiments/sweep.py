@@ -11,13 +11,6 @@ system *keys* and rebuild configs inside the worker, not live objects with
 RNG state.  On single-core machines, with ``workers<=1``, or for a single
 point, everything runs in-process with zero overhead, so tests and small
 grids behave identically with or without the pool.
-
-Sweep points that use memoized stage pricing against the process-wide
-cache (``shared_pricing_cache=True``) can ship a warmed cache to every
-worker: run one point (or a previous sweep) in-process, snapshot with
-:func:`repro.core.executor.snapshot_shared_pricing_cache`, and pass the
-payload as ``warm_cache`` — each worker process then starts from the
-already-derived bucketed prices instead of re-deriving them.
 """
 
 from __future__ import annotations
@@ -34,18 +27,10 @@ def default_workers() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def _install_warm_cache(payload: bytes) -> None:
-    """Pool initializer: seed the worker's process-wide pricing cache."""
-    from repro.core.executor import install_shared_pricing_cache
-
-    install_shared_pricing_cache(payload)
-
-
 def run_sweep(
     fn: Callable[..., Any],
     param_sets: Sequence[Mapping[str, Any]],
     workers: int | None = None,
-    warm_cache: bytes | None = None,
 ) -> list[Any]:
     """Evaluate ``fn(**params)`` for every params mapping, in input order.
 
@@ -54,10 +39,6 @@ def run_sweep(
         param_sets: one keyword-argument mapping per sweep point.
         workers: process count; None = one per CPU, <=1 = run serially
             in-process.
-        warm_cache: optional
-            :func:`~repro.core.executor.snapshot_shared_pricing_cache`
-            payload installed into every worker process (and, for serial
-            runs, into this process) before any point runs.
 
     Returns:
         Results in the same order as ``param_sets``.  A worker exception
@@ -69,14 +50,8 @@ def run_sweep(
         raise ConfigError("workers must be non-negative")
     n_workers = default_workers() if workers is None else workers
     if n_workers <= 1 or len(params) <= 1:
-        if warm_cache is not None:
-            _install_warm_cache(warm_cache)
         return [fn(**p) for p in params]
-    initializer = _install_warm_cache if warm_cache is not None else None
-    initargs = (warm_cache,) if warm_cache is not None else ()
-    with ProcessPoolExecutor(
-        max_workers=min(n_workers, len(params)), initializer=initializer, initargs=initargs
-    ) as pool:
+    with ProcessPoolExecutor(max_workers=min(n_workers, len(params))) as pool:
         futures = [pool.submit(fn, **p) for p in params]
         return [future.result() for future in futures]
 

@@ -132,7 +132,7 @@ class ProcessingUnit:
             bytes_read: per-operator DRAM bytes streamed in.
             bytes_written: per-operator DRAM bytes written back.
             zero_mask: precomputed zero-work mask, if the caller has one
-                (e.g. the expert pricer's ``tokens == 0``).
+                (e.g. the expert price tables' ``tokens == 0``).
             validate: skip the non-negativity checks when the caller
                 already guarantees them (per-stage hot paths).
         """

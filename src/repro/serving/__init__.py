@@ -66,7 +66,6 @@ from repro.serving.cluster import (
     SplitReplicaSpec,
 )
 from repro.serving.engine import (
-    IncrementalStagePricer,
     KvPagingCoordinator,
     ServingEngine,
     StageEvent,
@@ -156,7 +155,6 @@ __all__ = [
     "FleetView",
     "GaussianLengths",
     "HostLink",
-    "IncrementalStagePricer",
     "KvPagingCoordinator",
     "LeastOutstandingTokensRouter",
     "LengthDistribution",

@@ -24,14 +24,10 @@ Four policies ship:
 
 Cold vs warm starts: a freshly provisioned replica dwells in
 ``PROVISIONING`` for ``provision_delay_s`` (hardware + weights) and then
-in ``WARMING`` while its stage-pricing caches populate.  Replicas built
-against a fleet :class:`~repro.core.executor.SharedPricingCache` that
-already holds entries for their pricing spec take the *warm-start* path —
-the cache snapshot stands in for the warm state, and the dwell shrinks to
-``warm_start_delay_s``.  A cache snapshot from a previous run
-(``warm_cache=``, see
-:func:`~repro.core.executor.snapshot_shared_pricing_cache`) warms the
-very first scale-up.
+in ``WARMING`` for ``warmup_delay_s``.  A monolithic or sharded replica
+that starts warming after some replica of the fleet has run a stage takes
+the *warm-start* path instead, and its dwell shrinks to
+``warm_start_delay_s``.
 
 Time model: control ticks never advance ACTIVE engines (they read the
 same possibly-stale state routers see — decisions take effect from the
@@ -49,11 +45,6 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable, Protocol, runtime_checkable
 
-from repro.core.executor import (
-    GLOBAL_PRICING_CACHE,
-    SharedPricingCache,
-    install_shared_pricing_cache,
-)
 from repro.core.system import SystemConfig
 from repro.errors import ConfigError
 from repro.models.config import ModelConfig
@@ -407,9 +398,9 @@ class ElasticFleetSimulator(ClusterSimulator):
 
     Args:
         system / model / workload / router / max_batch / seed /
-            gating_skew / policy_factory / memoize_pricing /
-            incremental_pricing / max_requests / worst_case_tokens: as
-            for :class:`~repro.serving.cluster.ClusterSimulator`.
+            gating_skew / policy_factory / max_requests /
+            worst_case_tokens: as for
+            :class:`~repro.serving.cluster.ClusterSimulator`.
         policy: the autoscaling policy driving fleet size.
         min_replicas: lower clamp; the controller never drains below it.
         max_replicas: upper clamp on provisioned (booting + serving)
@@ -428,32 +419,15 @@ class ElasticFleetSimulator(ClusterSimulator):
             the telemetry sampling cadence).
         provision_delay_s: PROVISIONING dwell — hardware boot plus model
             load — before a new replica starts warming.
-        warmup_delay_s: WARMING dwell on the cold-start path (empty
-            pricing caches).
-        warm_start_delay_s: WARMING dwell on the warm-start path — the
-            replica joins a fleet pricing cache that already holds
-            entries for its pricing spec, so only the snapshot install
-            is simulated.
-        shared_pricing_cache: the fleet pricing cache.  Defaults to a
-            *fleet-scoped* :class:`~repro.core.executor.SharedPricingCache`
-            (so the warm-start path reflects exactly what this fleet has
-            priced); pass True for the process-wide cache, or False for
-            private per-replica stores (every spin-up is then cold).
-        warm_cache: optional snapshot
-            (:func:`~repro.core.executor.snapshot_shared_pricing_cache`
-            payload or a live cache) merged into the fleet cache up
-            front, warming even the first scale-up.
+        warmup_delay_s: WARMING dwell on the cold-start path (the fleet
+            has not run a stage yet, or the replica is a split one).
+        warm_start_delay_s: WARMING dwell on the warm-start path — a
+            monolithic or sharded replica that starts warming after some
+            replica of the fleet has run a stage.
         rate_window_s: sliding window of the arrival-rate estimate
             (default: five control intervals).
         slo_window: sliding sample-window length for rolling T2FT/TBT
             attainment.
-        lifecycle_bucket_width_s: bucket width of the lifecycle
-            :class:`~repro.serving.columnar.EventClock` (None, the
-            default, uses its binary-heap backend).  Purely a wakeup
-            index — both backends fire the same transitions at the same
-            instants — so this only matters as a perf knob for very
-            large fleets (see the grid harness in
-            ``benchmarks/perf/grid.py``).
     """
 
     def __init__(
@@ -476,15 +450,10 @@ class ElasticFleetSimulator(ClusterSimulator):
         seed: int | None = 0,
         gating_skew: float = 0.0,
         policy_factory: Callable[[], SchedulingPolicy] | None = None,
-        memoize_pricing: bool = True,
-        incremental_pricing: bool = False,
-        shared_pricing_cache: bool | SharedPricingCache | None = None,
-        warm_cache: bytes | SharedPricingCache | None = None,
         max_requests: int | None = None,
         worst_case_tokens: int | None = None,
         rate_window_s: float | None = None,
         slo_window: int = 64,
-        lifecycle_bucket_width_s: float | None = None,
     ) -> None:
         if min_replicas < 1:
             raise ConfigError("min_replicas must be at least 1 (routing needs a target)")
@@ -529,19 +498,6 @@ class ElasticFleetSimulator(ClusterSimulator):
         if self.rate_window_s <= 0:
             raise ConfigError("rate_window_s must be positive")
         self.slo_window = slo_window
-        if shared_pricing_cache is None:
-            shared_pricing_cache = SharedPricingCache()
-        self.pricing_cache: SharedPricingCache | None
-        if shared_pricing_cache is True:
-            self.pricing_cache = GLOBAL_PRICING_CACHE
-        elif isinstance(shared_pricing_cache, SharedPricingCache):
-            self.pricing_cache = shared_pricing_cache
-        else:
-            self.pricing_cache = None  # private per-replica stores: always cold
-        if warm_cache is not None:
-            if self.pricing_cache is None:
-                raise ConfigError("warm_cache needs a shared pricing cache to land in")
-            install_shared_pricing_cache(warm_cache, target=self.pricing_cache)
         super().__init__(
             system,
             model,
@@ -551,11 +507,6 @@ class ElasticFleetSimulator(ClusterSimulator):
             seed=seed,
             gating_skew=gating_skew,
             policy_factory=policy_factory,
-            memoize_pricing=memoize_pricing,
-            incremental_pricing=incremental_pricing,
-            shared_pricing_cache=(
-                self.pricing_cache if self.pricing_cache is not None else False
-            ),
             max_requests=max_requests,
             worst_case_tokens=worst_case_tokens,
             replicas=tuple(self.replica_template for _ in range(initial)),
@@ -568,7 +519,7 @@ class ElasticFleetSimulator(ClusterSimulator):
         # DRAINING replicas are the one non-timed lifecycle (they retire
         # when their in-flight work empties), so they sit in a separate
         # small list that is walked each call.
-        self._lifecycle_clock = EventClock(bucket_width_s=lifecycle_bucket_width_s)
+        self._lifecycle_clock = EventClock()
         self._draining: list[ManagedReplica] = []
         # controller run-state: the sample list and cursors are (re)set
         # in _begin_run; the windows carry their maxlen configuration.
@@ -613,12 +564,12 @@ class ElasticFleetSimulator(ClusterSimulator):
                 if handle.state is ReplicaState.PROVISIONING and t >= handle.warming_at:
                     handle.set_state(handle.warming_at, ReplicaState.WARMING)
                     # The warm-vs-cold dwell is decided when warming
-                    # actually begins — the fleet cache may have been cold
-                    # when this replica was provisioned yet warm by the
+                    # actually begins — the fleet may not have served yet
+                    # when this replica was provisioned, yet have by the
                     # time it boots.
                     dwell = (
                         self.warm_start_delay_s
-                        if self._cache_is_warm(handle)
+                        if self._starts_warm(handle)
                         else self.warmup_delay_s
                     )
                     handle.active_at = handle.warming_at + dwell
@@ -661,14 +612,12 @@ class ElasticFleetSimulator(ClusterSimulator):
                 still_draining.append(handle)
         self._draining = still_draining
 
-    def _cache_is_warm(self, handle: ManagedReplica) -> bool:
-        """Whether the new replica's pricing spec is already cached."""
-        replica = handle.replica
-        if self.pricing_cache is None or not isinstance(replica, _MonolithicReplica):
-            return False
-        if not replica.executor.memoize:
-            return False
-        return replica.executor.pricing_cache_info().size > 0
+    def _starts_warm(self, handle: ManagedReplica) -> bool:
+        """Whether a replica beginning to warm takes the warm-start dwell:
+        it is monolithic or sharded, and some fleet replica has run a stage."""
+        return isinstance(handle.replica, _MonolithicReplica) and any(
+            engine.stages for h in self.handles for engine in h.replica.engines
+        )
 
     def _scale_up(self, t: float, n: int) -> None:
         for _ in range(n):

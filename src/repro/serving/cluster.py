@@ -56,12 +56,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.executor import SharedPricingCache, StageExecutor, StageWorkload
+from repro.core.executor import StageExecutor, StageWorkload
 from repro.core.system import SystemConfig, default_topology, sharded_system
 from repro.errors import CapacityError, ConfigError, SchedulingError, SimulationError
 from repro.models.config import ModelConfig
 from repro.serving.engine import (
-    IncrementalStagePricer,
     KvPagingCoordinator,
     ServingEngine,
     SimulationLimits,
@@ -85,8 +84,8 @@ class ReplicaState(enum.Enum):
 
     * ``PROVISIONING`` — capacity requested; hardware booting, weights
       loading.  Invisible to routers, holds no work.
-    * ``WARMING`` — booted, warming caches (the stage-pricing cache warm
-      start shortens this dwell — see
+    * ``WARMING`` — booted, warming caches (a warm start, once the fleet
+      has served, shortens this dwell — see
       :class:`~repro.serving.autoscaler.ElasticFleetSimulator`).
     * ``ACTIVE`` — in the routing set, serving traffic.
     * ``DRAINING`` — removed from the routing set; refuses new
@@ -333,10 +332,9 @@ class SplitReplicaSpec:
 
     The partitions are derived from the *model* via
     :func:`~repro.serving.split.split_partitions`, so the cluster-level
-    ``system``, ``policy_factory``, ``gating_skew``, and
-    ``memoize_pricing`` arguments apply only to monolithic replicas —
-    a split replica always runs FCFS on its derived Duplex partitions
-    with exact pricing.
+    ``system``, ``policy_factory``, and ``gating_skew`` arguments apply
+    only to monolithic replicas — a split replica always runs FCFS on its
+    derived Duplex partitions.
 
     Attributes:
         max_batch: decode-partition batch-size request (None = the
@@ -357,8 +355,8 @@ class ShardedReplicaSpec:
     spread over all ``tp * ep`` devices with all-to-all dispatch/combine
     (or, with ``expert_tensor_parallel``, sliced within each of the ``ep``
     nodes).  The cluster-level ``system`` argument is ignored — the system
-    is derived from the degrees — but ``policy_factory``, ``gating_skew``,
-    and ``memoize_pricing`` apply as they do to monolithic replicas.
+    is derived from the degrees — but ``policy_factory`` and
+    ``gating_skew`` apply as they do to monolithic replicas.
 
     One sharded replica consumes ``n_devices = tp * ep`` devices of the
     fleet's device budget (see :attr:`ClusterReport.device_seconds` and the
@@ -423,23 +421,13 @@ class _MonolithicReplica:
         policy: SchedulingPolicy | None,
         gating_skew: float,
         seed: int | None,
-        memoize_pricing: bool,
-        incremental_pricing: bool = False,
-        shared_cache: bool | SharedPricingCache = True,
         paging: PagingConfig | None = None,
         worst_case_tokens: int | None = None,
         prefix: PrefixConfig | None = None,
     ) -> None:
         self.index = index
         self.inbox = QueueSource()
-        self.executor = StageExecutor(
-            system,
-            model,
-            gating_skew=gating_skew,
-            seed=seed,
-            memoize=memoize_pricing,
-            shared_cache=shared_cache,
-        )
+        self.executor = StageExecutor(system, model, gating_skew=gating_skew, seed=seed)
         coordinator = None
         if paging is not None:
             if worst_case_tokens is None:
@@ -460,10 +448,7 @@ class _MonolithicReplica:
             prefix=self.prefix_index,
         )
         self.engine = ServingEngine(
-            self.scheduler,
-            self.executor,
-            label=f"{system.name}/replica{index}",
-            pricer=IncrementalStagePricer(self.executor) if incremental_pricing else None,
+            self.scheduler, self.executor, label=f"{system.name}/replica{index}"
         )
         self.engine.metrics.effective_batch = effective_batch
 
@@ -999,28 +984,8 @@ class ClusterSimulator:
         policy_factory: builds one scheduling policy per monolithic replica
             (policies are stateful, so replicas must not share an
             instance); None means FCFS everywhere.  Split replicas ignore
-            ``system``, ``policy_factory``, ``gating_skew``, and
-            ``memoize_pricing`` — see :class:`SplitReplicaSpec`.
-        memoize_pricing: memoize stage pricing in every monolithic replica
-            (on by default — fleet sweeps are exactly the workload
-            memoization exists for).  Memoized replicas share one
-            process-wide price store per pricing spec
-            (:data:`~repro.core.executor.GLOBAL_PRICING_CACHE`), so a
-            bucketed composition is priced once for the whole fleet, not
-            once per replica.  Memoized pricing routes experts by
-            expected counts, so fleet tail percentiles omit
-            gating-straggler stages; pass False for exact per-stage
-            sampled pricing.
-        incremental_pricing: delta-price steady-decode stages in every
-            monolithic replica (see
-            :class:`~repro.serving.engine.IncrementalStagePricer`); exact
-            pricing remains the default.
-        shared_pricing_cache: where memoized replica prices live.  True
-            (default) joins the process-wide
-            :data:`~repro.core.executor.GLOBAL_PRICING_CACHE`; pass a
-            :class:`~repro.core.executor.SharedPricingCache` instance to
-            scope sharing to this fleet (prices then die with it), or
-            False for fully private per-replica stores.
+            ``system``, ``policy_factory``, and ``gating_skew`` — see
+            :class:`SplitReplicaSpec`.
         max_requests: stop feeding arrivals after this many (bounds endless
             Poisson streams when limits alone should not decide).
         worst_case_tokens: KV sizing override for sources that cannot
@@ -1073,9 +1038,6 @@ class ClusterSimulator:
         seed: int | None = 0,
         gating_skew: float = 0.0,
         policy_factory: Callable[[], SchedulingPolicy] | None = None,
-        memoize_pricing: bool = True,
-        incremental_pricing: bool = False,
-        shared_pricing_cache: bool | SharedPricingCache = True,
         max_requests: int | None = None,
         worst_case_tokens: int | None = None,
         replicas: Sequence[ReplicaSpec] | None = None,
@@ -1116,9 +1078,6 @@ class ClusterSimulator:
         self._max_batch = max_batch
         self._gating_skew = gating_skew
         self._policy_factory = policy_factory
-        self._memoize_pricing = memoize_pricing
-        self._incremental_pricing = incremental_pricing
-        self._shared_pricing_cache = shared_pricing_cache
         self._paging = paging
         self._prefix = prefix
         self.faults = faults
@@ -1171,9 +1130,6 @@ class ClusterSimulator:
                 policy=self._policy_factory() if self._policy_factory is not None else None,
                 gating_skew=self._gating_skew,
                 seed=replica_seed,
-                memoize_pricing=self._memoize_pricing,
-                incremental_pricing=self._incremental_pricing,
-                shared_cache=self._shared_pricing_cache,
                 prefix=self._prefix,
                 n_devices=spec.n_devices,
             )
@@ -1198,9 +1154,6 @@ class ClusterSimulator:
                 policy=self._policy_factory() if self._policy_factory is not None else None,
                 gating_skew=self._gating_skew,
                 seed=replica_seed,
-                memoize_pricing=self._memoize_pricing,
-                incremental_pricing=self._incremental_pricing,
-                shared_cache=self._shared_pricing_cache,
                 paging=self._paging,
                 worst_case_tokens=self._worst_seq,
                 prefix=self._prefix,

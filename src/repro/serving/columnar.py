@@ -1,5 +1,5 @@
 """Columnar serving-core primitives: struct-of-arrays request state
-and the calendar-queue/heap event clock.
+and the heap event clock.
 
 The serving hot loop spends most of its wall clock on per-request Python
 objects (attribute chases, one ``advance_decode`` call per request per
@@ -18,11 +18,9 @@ holds the two data structures that replace those costs:
   lazily (``refresh``) whenever a scalar stage has touched the batch, so
   policies, routers, and paging hooks keep their object API unchanged.
 
-* :class:`EventClock` — a pending-event index with lazy cancellation,
-  replacing linear next-event scans.  Two equivalent backends: a binary
-  heap (default) and a calendar queue bucketed by a fixed time width
-  (``bucket_width_s``); both pop events in exact ``(time, insertion)``
-  order, so the choice is a performance knob, never a behaviour change.
+* :class:`EventClock` — a binary-heap pending-event index with lazy
+  cancellation, replacing linear next-event scans; it pops events in
+  exact ``(time, insertion)`` order.
 """
 
 from __future__ import annotations
@@ -215,46 +213,23 @@ class EventClock:
     stale entry dies lazily).  ``next_time`` is the earliest pending
     instant (``inf`` when empty); ``pop_due`` drains everything due by a
     given time in exact ``(time, insertion order)`` order.
-
-    Args:
-        bucket_width_s: None (default) uses a binary heap; a positive
-            width switches to a calendar queue bucketed on the fixed
-            time grid.  The two backends are observably identical.
     """
 
-    def __init__(self, bucket_width_s: float | None = None) -> None:
-        if bucket_width_s is not None and not bucket_width_s > 0:
-            raise ConfigError("bucket_width_s must be positive (or None for a heap)")
-        self.bucket_width_s = bucket_width_s
+    def __init__(self) -> None:
         self._seq = 0
         self._live: dict[object, tuple[float, int]] = {}
         self._heap: list[tuple[float, int, object]] = []
-        self._buckets: dict[int, list[tuple[float, int, object]]] = {}
-        self._bucket_heap: list[int] = []
-        self._queued_buckets: set[int] = set()
 
     def __len__(self) -> int:
         return len(self._live)
-
-    def _bucket_of(self, when: float) -> int:
-        assert self.bucket_width_s is not None
-        return int(math.floor(when / self.bucket_width_s))
 
     def schedule(self, key: object, when: float) -> None:
         """Schedule (or move) ``key`` to fire at ``when``."""
         if not math.isfinite(when):
             raise ConfigError("event times must be finite")
         self._seq += 1
-        entry = (when, self._seq, key)
         self._live[key] = (when, self._seq)
-        if self.bucket_width_s is None:
-            heapq.heappush(self._heap, entry)
-            return
-        bucket = self._bucket_of(when)
-        self._buckets.setdefault(bucket, []).append(entry)
-        if bucket not in self._queued_buckets:
-            self._queued_buckets.add(bucket)
-            heapq.heappush(self._bucket_heap, bucket)
+        heapq.heappush(self._heap, (when, self._seq, key))
 
     def cancel(self, key: object) -> None:
         """Forget ``key`` (no-op when not scheduled); dies lazily."""
@@ -268,52 +243,19 @@ class EventClock:
         """Earliest pending instant (``inf`` when nothing is scheduled)."""
         if not self._live:
             return float("inf")
-        if self.bucket_width_s is None:
-            while self._heap and not self._entry_live(self._heap[0]):
-                heapq.heappop(self._heap)
-            return self._heap[0][0] if self._heap else float("inf")
-        while self._bucket_heap:
-            bucket = self._bucket_heap[0]
-            entries = [e for e in self._buckets.get(bucket, ()) if self._entry_live(e)]
-            if entries:
-                self._buckets[bucket] = entries
-                return min(entries)[0]
-            heapq.heappop(self._bucket_heap)
-            self._queued_buckets.discard(bucket)
-            self._buckets.pop(bucket, None)
-        return float("inf")
+        while self._heap and not self._entry_live(self._heap[0]):
+            heapq.heappop(self._heap)
+        return self._heap[0][0] if self._heap else float("inf")
 
     def pop_due(self, now_s: float) -> list[object]:
         """Pop every key scheduled at or before ``now_s``, in fire order."""
-        due: list[tuple[float, int, object]] = []
-        if self.bucket_width_s is None:
-            while self._heap and self._heap[0][0] <= now_s:
-                entry = heapq.heappop(self._heap)
-                if self._entry_live(entry):
-                    due.append(entry)
-                    del self._live[entry[2]]
-        else:
-            kept_buckets: list[tuple[int, list[tuple[float, int, object]]]] = []
-            while self._bucket_heap and self._bucket_heap[0] * self.bucket_width_s <= now_s:
-                bucket = heapq.heappop(self._bucket_heap)
-                self._queued_buckets.discard(bucket)
-                keep: list[tuple[float, int, object]] = []
-                for entry in self._buckets.pop(bucket, ()):
-                    if not self._entry_live(entry):
-                        continue
-                    if entry[0] <= now_s:
-                        due.append(entry)
-                        del self._live[entry[2]]
-                    else:
-                        keep.append(entry)
-                if keep:
-                    kept_buckets.append((bucket, keep))
-            for bucket, keep in kept_buckets:
-                self._buckets[bucket] = keep
-                self._queued_buckets.add(bucket)
-                heapq.heappush(self._bucket_heap, bucket)
-            due.sort()
-        return [key for _, _, key in sorted(due)]
+        due: list[object] = []
+        while self._heap and self._heap[0][0] <= now_s:
+            entry = heapq.heappop(self._heap)
+            if self._entry_live(entry):
+                due.append(entry[2])
+                del self._live[entry[2]]
+        return due
 
     def extend(self, items: Iterable[tuple[object, float]]) -> None:
         """Bulk-schedule ``(key, when)`` pairs."""

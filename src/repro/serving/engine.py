@@ -494,77 +494,6 @@ def paged_engine_setup(
     return requested_batch, capacity_tokens, coordinator
 
 
-class IncrementalStagePricer:
-    """Delta-aware stage pricing for steady decode runs (opt-in fast path).
-
-    In steady decode, consecutive stages carry the same request set with
-    every context one token longer — the previous stage's composition key
-    shifted by +1 per request.  Every operator except decode attention
-    depends only on the (unchanged) token count, so such stages re-derive
-    only the decode-attention operator from the prior
-    :class:`~repro.core.executor.StageResult`
-    (:meth:`~repro.core.executor.StageExecutor.reprice_decode_delta`);
-    admission, completion, and mixed stages fall back to exact pricing and
-    re-arm the delta chain.
-
-    Accuracy: a delta-priced stage matches a full exact reprice to within
-    float re-association (<< 1e-9 relative) when expert routing is
-    deterministic.  Under *sampled* gating the delta path necessarily
-    reuses the base stage's expert-routing sample instead of drawing a
-    fresh one per stage, so — like memoized pricing — it removes
-    gating-straggler stages and tightens MoE tail percentiles.  Exact
-    pricing stays the default everywhere; golden figures never use this.
-
-    Args:
-        executor: the stage executor to price through.
-    """
-
-    def __init__(self, executor: StageExecutor) -> None:
-        self.executor = executor
-        self.delta_stages = 0
-        self.exact_stages = 0
-        self._previous_contexts: np.ndarray | None = None
-        self._previous_result = None
-
-    def price(self, workload) -> "StageResult":
-        """Price one stage, by delta when the composition allows it.
-
-        Eligibility is verified against the *actual* context vectors
-        (rather than trusting the scheduler's own steady-decode flag) on
-        purpose: the pricer's accuracy contract must hold for any caller,
-        and comparing compositions fails safe — an upstream change can
-        only ever cost a fallback to exact pricing, never a wrong delta.
-        """
-        contexts = workload.decode_context_lengths
-        previous = self._previous_contexts
-        if (
-            not workload.is_mixed
-            and previous is not None
-            and contexts.size == previous.size
-            and np.array_equal(contexts, previous + 1)
-        ):
-            result = self.executor.reprice_decode_delta(self._previous_result, contexts)
-            self.delta_stages += 1
-        else:
-            result = self.executor.run_stage(workload)
-            self.exact_stages += 1
-        if workload.is_mixed:
-            # A mixed stage's successor never matches the +1 pattern
-            # (prefilled requests re-enter decode at full context).
-            self._previous_contexts = None
-            self._previous_result = None
-        else:
-            self._previous_contexts = contexts.copy()
-            self._previous_result = result
-        return result
-
-    @property
-    def delta_rate(self) -> float:
-        """Fraction of stages priced by delta."""
-        total = self.delta_stages + self.exact_stages
-        return self.delta_stages / total if total else 0.0
-
-
 class ServingEngine:
     """One event-driven serving partition: scheduler + executor + metrics.
 
@@ -587,17 +516,13 @@ class ServingEngine:
         handoff: when set, a request leaving prefill is released from this
             engine's batch and passed to the callback with the current
             clock — the KV-transfer hook that chains partitions.
-        pricer: optional :class:`IncrementalStagePricer` wrapping the
-            executor; steady-decode stages are then priced by delta (the
-            opt-in fast path) instead of a full
-            :meth:`~repro.core.executor.StageExecutor.run_stage`.
         columnar: enable the columnar steady-run fast path (default).
             Provably steady decode runs are then priced, committed, and
             recorded as vectorized batches — bit-identical results, one
             Python-level iteration per *run* instead of per stage.  The
             path disarms itself whenever anything could observe
-            individual stages (observers attached, a pricer or handoff
-            or record gate installed, memoized pricing); pass False to
+            individual stages (observers attached, a handoff or record
+            gate installed); pass False to
             force the scalar per-stage loop everywhere — the oracle the
             property suite compares against.
     """
@@ -612,12 +537,10 @@ class ServingEngine:
         budget_exempt: bool = False,
         record_gate: Callable[[SimulationLimits], bool] | None = None,
         handoff: Callable[[Request, float], None] | None = None,
-        pricer: IncrementalStagePricer | None = None,
         columnar: bool = True,
     ) -> None:
         self.scheduler = scheduler
         self.executor = executor
-        self.pricer = pricer
         self.columnar = columnar
         self._steady_capable = hasattr(scheduler, "steady_run_threshold")
         self._last_latency_s = 0.0
@@ -715,10 +638,7 @@ class ServingEngine:
         preempted, resumed = scheduler.drain_paging_events()
         if self._prefix_enabled:
             self._record_prefix_admissions()
-        if self.pricer is not None:
-            result = self.pricer.price(workload)
-        else:
-            result = self.executor.run_stage(workload)
+        result = self.executor.run_stage(workload)
         latency_s = result.latency_s
         if self.fault_profile is not None:
             # Straggler windows stretch wall-clock, not energy: a
@@ -835,8 +755,8 @@ class ServingEngine:
 
         Returns the number of stages committed (0 = take the scalar
         :meth:`step`).  A run happens only when nothing can observe or
-        perturb the intermediate stages — no observers, pricer, handoff,
-        or record-gate override — and the scheduler proves admission is a
+        perturb the intermediate stages — no observers, handoff, or
+        record-gate override — and the scheduler proves admission is a
         no-op until a threshold instant.  Stage latencies, energies, the
         clock trajectory, the metrics accumulators, and the gating RNG
         stream all land bit-identical to stepping the same stages
@@ -848,19 +768,17 @@ class ServingEngine:
         if (
             not self.columnar
             or not self._steady_capable
-            or self.pricer is not None
             or self.handoff is not None
             or self.record_gate is not None
             or self.observers
             or self.budget_spent(limits)
         ):
             return 0
-        # Disqualify incapable executors before touching the scheduler:
-        # memoized pricing quantizes compositions (price_decode_run would
-        # return None anyway), and the threshold/min-remaining probes below
-        # cost a table refresh — too much to pay on every scalar step.
+        # Disqualify incapable executors before touching the scheduler: the
+        # threshold/min-remaining probes below cost a table refresh — too
+        # much to pay on every scalar step.
         price_run = getattr(self.executor, "price_decode_run", None)
-        if price_run is None or getattr(self.executor, "memoize", False):
+        if price_run is None:
             return 0
         scheduler = self.scheduler
         threshold = scheduler.steady_run_threshold()

@@ -16,16 +16,11 @@ the simulation ends when nothing is running and nothing more will arrive.
 
 from __future__ import annotations
 
-from repro.core.executor import SharedPricingCache, StageExecutor
+from repro.core.executor import StageExecutor
 from repro.core.system import SystemConfig
 from repro.errors import CapacityError
 from repro.models.config import ModelConfig
-from repro.serving.engine import (
-    IncrementalStagePricer,
-    ServingEngine,
-    SimulationLimits,
-    paged_engine_setup,
-)
+from repro.serving.engine import ServingEngine, SimulationLimits, paged_engine_setup
 from repro.serving.generator import RequestSource, WorkloadSpec, resolve_source
 from repro.serving.metrics import ServingReport
 from repro.serving.paging import PagingConfig, PrefixConfig, PrefixIndex
@@ -49,16 +44,6 @@ class ServingSimulator:
         warm_start: start closed-loop runs from the staggered steady state.
         gating_skew: expert routing skew (Section VIII-B).
         policy: scheduling policy (default FCFS, the paper's behaviour).
-        memoize_pricing: reuse stage prices across equal quantized stage
-            compositions (see :class:`~repro.core.executor.StageExecutor`).
-        incremental_pricing: price steady-decode stages by delta from the
-            previous stage (see
-            :class:`~repro.serving.engine.IncrementalStagePricer`) — the
-            opt-in fast path; exact pricing stays the default.
-        shared_pricing_cache: with ``memoize_pricing``, share bucketed
-            prices through the process-wide
-            :data:`~repro.core.executor.GLOBAL_PRICING_CACHE` (or a given
-            :class:`~repro.core.executor.SharedPricingCache`).
         worst_case_tokens: KV tokens to size the effective batch for; only
             needed for sources that cannot report their own worst case.
         columnar: enable the engine's columnar steady-run fast path
@@ -90,9 +75,6 @@ class ServingSimulator:
         warm_start: bool | None = None,
         gating_skew: float = 0.0,
         policy: SchedulingPolicy | None = None,
-        memoize_pricing: bool = False,
-        incremental_pricing: bool = False,
-        shared_pricing_cache: bool | SharedPricingCache = False,
         worst_case_tokens: int | None = None,
         paging: PagingConfig | None = None,
         prefix: PrefixConfig | None = None,
@@ -101,14 +83,7 @@ class ServingSimulator:
         self.system = system
         self.model = model
         self.workload = workload
-        self.executor = StageExecutor(
-            system,
-            model,
-            gating_skew=gating_skew,
-            seed=seed,
-            memoize=memoize_pricing,
-            shared_cache=shared_pricing_cache,
-        )
+        self.executor = StageExecutor(system, model, gating_skew=gating_skew, seed=seed)
         self.source, worst_seq = resolve_source(workload, seed, worst_case_tokens)
         if paging is not None:
             self.effective_batch, capacity_tokens, self.paging = paged_engine_setup(
@@ -132,13 +107,8 @@ class ServingSimulator:
             paging=self.paging,
             prefix=self.prefix,
         )
-        pricer = IncrementalStagePricer(self.executor) if incremental_pricing else None
         self.engine = ServingEngine(
-            self.scheduler,
-            self.executor,
-            label=system.name,
-            pricer=pricer,
-            columnar=columnar,
+            self.scheduler, self.executor, label=system.name, columnar=columnar
         )
         self.engine.metrics.effective_batch = self.effective_batch
         closed_loop = bool(getattr(self.source, "closed_loop", False))

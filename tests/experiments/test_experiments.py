@@ -125,8 +125,7 @@ class TestFig13:
         # The QPS grid can sweep any registered scenario; each point
         # rescales the scenario's arrival process to the target rate.
         rows = fig13.run(
-            qps_values=(6.0,), max_batch=32, limits=FAST, memoize=True,
-            scenario="bursty-chat",
+            qps_values=(6.0,), max_batch=32, limits=FAST, scenario="bursty-chat",
         )
         assert len(rows) == 3
         assert all(r.qps == 6.0 for r in rows)

@@ -1,6 +1,6 @@
 """Golden-report regression tests (tier 3 — see TESTING.md).
 
-Each case runs a figure on a *tiny preset* (reduced grid, short fast-mode
+Each case runs a figure on a *tiny preset* (reduced grid, short
 simulation window) and serializes the resulting rows to canonical JSON.
 The serialized text must match the snapshot under ``tests/golden/``
 byte-for-byte: any behavioural drift in the serving core — scheduler
@@ -67,7 +67,6 @@ def _fig13_tiny():
         max_batch=32,
         limits=SimulationLimits(max_stages=120, warmup_stages=12),
         seed=0,
-        memoize=True,  # the fast-mode path: quantized, expected-counts pricing
         workers=1,
     )
 

@@ -19,7 +19,6 @@ import dataclasses
 
 import pytest
 
-from repro.core.executor import SharedPricingCache
 from repro.core.system import duplex_system
 from repro.errors import ConfigError, SchedulingError
 from repro.models.config import mixtral
@@ -269,11 +268,9 @@ class TestControllerMechanics:
                 previous, last_t = state, t
 
     def test_cold_then_warm_start_dwell(self):
-        # The first scale-up prices against a cold fleet cache only when
-        # the fleet starts cold; once the initial replica has priced
-        # stages, the shared cache is warm and spin-ups take the short
-        # dwell.  (The initial replica serves from t=0, so by the first
-        # scale-up the cache always holds entries — warm path.)
+        # A spin-up is cold only while no fleet replica has run a stage;
+        # the initial replica serves from t=0, so by the first scale-up
+        # the fleet has served and spin-ups take the short dwell.
         sim = elastic(
             QueueDepthPolicy(scale_up_depth=1.0, scale_down_depth=0.25, cooldown_s=1.0),
             workload=_spec(qps=80.0),
@@ -286,34 +283,28 @@ class TestControllerMechanics:
             dwell = handle.active_at - handle.warming_at
             assert dwell == pytest.approx(sim.warm_start_delay_s)
 
-    def test_cold_start_without_shared_cache(self):
+    def test_warming_before_the_fleet_has_served_is_cold(self):
+        # Arrivals only start at t=3, so the replica the scheduled policy
+        # provisions right away starts warming before any replica of the
+        # fleet has run a stage: it takes the cold dwell.
+        first_arrival_s = 3.0
+        scenario = Scenario(
+            name="late-start",
+            arrivals=ReplayedArrivals(times_s=tuple(first_arrival_s + 0.01 * i for i in range(20))),
+            tenants=(TenantSpec("chat", GaussianLengths(512, 48, lin_cv=0.3, lout_cv=0.3)),),
+        )
         sim = elastic(
-            QueueDepthPolicy(scale_up_depth=1.0, scale_down_depth=0.25, cooldown_s=1.0),
-            workload=_spec(qps=80.0),
-            max_requests=200,
-            shared_pricing_cache=False,
+            ScheduledScalingPolicy(lambda t: 8.0, qps_per_replica=4.0),
+            workload=scenario.source(seed=0, max_requests=20),
         )
         sim.run(LIMITS)
-        scaled_up = [h for h in sim.handles if h.provisioned_at > 0.0]
-        assert scaled_up
-        for handle in scaled_up:
-            dwell = handle.active_at - handle.warming_at
-            assert dwell == pytest.approx(sim.warmup_delay_s)
-
-    def test_warm_cache_snapshot_installs(self):
-        donor = SharedPricingCache()
-        sim_a = elastic(
-            StaticReplicaPolicy(1), max_replicas=1, shared_pricing_cache=donor,
-            max_requests=40,
-        )
-        sim_a.run(LIMITS)
-        assert len(donor) > 0
-        fleet_cache = SharedPricingCache()
-        elastic(
-            StaticReplicaPolicy(1), max_replicas=1,
-            shared_pricing_cache=fleet_cache, warm_cache=donor,
-        )
-        assert len(fleet_cache) == len(donor)
+        warmed = [
+            h for h in sim.handles if any(s is ReplicaState.WARMING for _, s in h.transitions)
+        ]
+        assert warmed, "the scheduled policy should have provisioned capacity"
+        for handle in warmed:
+            assert handle.warming_at < first_arrival_s
+            assert handle.active_at - handle.warming_at == pytest.approx(sim.warmup_delay_s)
 
     def test_routers_only_see_active_replicas(self):
         seen = []
@@ -342,8 +333,6 @@ class TestControllerMechanics:
             elastic(StaticReplicaPolicy(1), initial_replicas=9)
         with pytest.raises(ConfigError):
             elastic(StaticReplicaPolicy(1), control_interval_s=0.0)
-        with pytest.raises(ConfigError):
-            elastic(StaticReplicaPolicy(1), warm_cache=b"x", shared_pricing_cache=False)
 
 
 class TestStaticElasticEquivalence:

@@ -4,8 +4,7 @@ Two layers (tier 1 — see TESTING.md):
 
 * unit tests for the struct-of-arrays :class:`RequestTable` (slot
   recycling, growth, lazy refresh, vectorized advance) and the
-  :class:`EventClock` (heap and calendar backends, lazy cancellation,
-  fire ordering);
+  :class:`EventClock` (lazy cancellation, fire ordering);
 * the property suite pinning the tentpole exactness claim: a full run
   with the columnar steady-run fast path enabled reproduces the scalar
   per-stage oracle (``columnar=False``) trajectory *exactly* — same
@@ -110,10 +109,9 @@ class TestRequestTable:
 # ----------------------------------------------------------------------
 # EventClock
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("bucket_width_s", [None, 0.5, 2.0])
 class TestEventClock:
-    def test_fires_in_time_then_insertion_order(self, bucket_width_s):
-        clock = EventClock(bucket_width_s=bucket_width_s)
+    def test_fires_in_time_then_insertion_order(self):
+        clock = EventClock()
         clock.schedule("b", 2.0)
         clock.schedule("a", 1.0)
         clock.schedule("c", 2.0)
@@ -123,8 +121,8 @@ class TestEventClock:
         assert clock.next_time() == float("inf")
         assert len(clock) == 0
 
-    def test_reschedule_moves_and_cancel_forgets(self, bucket_width_s):
-        clock = EventClock(bucket_width_s=bucket_width_s)
+    def test_reschedule_moves_and_cancel_forgets(self):
+        clock = EventClock()
         clock.schedule("a", 5.0)
         clock.schedule("b", 1.0)
         clock.schedule("a", 0.25)  # moved earlier
@@ -133,42 +131,39 @@ class TestEventClock:
         assert clock.pop_due(10.0) == ["a"]
         clock.cancel("missing")  # no-op
 
-    def test_partial_bucket_drain_keeps_future_events(self, bucket_width_s):
-        clock = EventClock(bucket_width_s=bucket_width_s)
+    def test_partial_drain_keeps_future_events(self):
+        clock = EventClock()
         clock.extend([("early", 0.1), ("late", 0.4), ("far", 3.7)])
         assert clock.pop_due(0.2) == ["early"]
-        # "late" may share a calendar bucket with "early"; it must survive
-        # the partial drain and still fire later.
         assert clock.next_time() == 0.4
         assert clock.pop_due(5.0) == ["late", "far"]
 
-    def test_rejects_non_finite_times(self, bucket_width_s):
-        clock = EventClock(bucket_width_s=bucket_width_s)
+    def test_rejects_non_finite_times(self):
+        clock = EventClock()
         with pytest.raises(ConfigError):
             clock.schedule("a", float("inf"))
 
 
-def test_clock_backends_agree_on_a_random_schedule():
+def test_clock_matches_a_sorted_reference_on_a_random_schedule():
     rng = np.random.default_rng(0)
-    heap = EventClock()
-    calendar = EventClock(bucket_width_s=0.3)
-    for key in range(200):
+    clock = EventClock()
+    pending: dict[int, tuple[float, int]] = {}
+    for seq, key in enumerate(rng.integers(0, 150, size=200).tolist()):
         when = float(rng.uniform(0.0, 20.0))
-        heap.schedule(key, when)
-        calendar.schedule(key, when)
-    for key in rng.choice(200, size=40, replace=False):
-        heap.cancel(int(key))
-        calendar.cancel(int(key))
+        clock.schedule(key, when)  # a repeated key moves
+        pending[key] = (when, seq)
+    for key in rng.choice(150, size=40, replace=False).tolist():
+        clock.cancel(key)
+        pending.pop(key, None)
     now = 0.0
-    while heap.next_time() < float("inf") or calendar.next_time() < float("inf"):
-        assert heap.next_time() == calendar.next_time()
+    while pending:
+        assert clock.next_time() == min(when for when, _ in pending.values())
         now += float(rng.uniform(0.1, 2.0))
-        assert heap.pop_due(now) == calendar.pop_due(now)
-
-
-def test_bad_bucket_width_rejected():
-    with pytest.raises(ConfigError):
-        EventClock(bucket_width_s=0.0)
+        due = sorted((entry, key) for key, entry in pending.items() if entry[0] <= now)
+        assert clock.pop_due(now) == [key for _, key in due]
+        for _, key in due:
+            del pending[key]
+    assert clock.next_time() == float("inf") and len(clock) == 0
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,8 @@ The unified event-driven core makes strong equivalences *structural*
 rather than coincidental; these tests pin them down:
 
 * a :class:`ClusterSimulator` of one round-robin replica IS a
-  :class:`ServingSimulator` — identical per-request metrics, identical
-  report, float-for-float;
+  :class:`ServingSimulator`, both with their default pricing — identical
+  per-request metrics, identical report, float-for-float;
 * the refactored two-partition :class:`SplitServingSimulator` reproduces
   the pre-refactor Fig. 16 numbers captured in
   ``tests/golden/fig16_split.json`` before the engine extraction landed.
@@ -45,7 +45,6 @@ def _pair(workload, seed=3, max_batch=24, limits=None, **cluster_kwargs):
         router=RoundRobinRouter(),
         max_batch=max_batch,
         seed=seed,
-        memoize_pricing=False,  # the simulator's exact-pricing default
         **cluster_kwargs,
     )
     fleet_report = fleet.run(limits)
@@ -98,7 +97,7 @@ class TestClusterOfOneEqualsSimulator:
         ).run(limits)
         fleet_report = ClusterSimulator(
             SYSTEM, MODEL, trace(), n_replicas=1, router=RoundRobinRouter(),
-            max_batch=16, seed=2, memoize_pricing=False,
+            max_batch=16, seed=2,
         ).run(limits)
         assert solo_report == fleet_report.fleet
 
