@@ -1,215 +1,16 @@
-"""Incremental (delta) stage pricing: accuracy, mechanics, and satellites.
+"""The :class:`TransferFeed` running token counter.
 
-The accuracy contract: with deterministic expert gating, an engine pricing
-steady-decode stages by delta must reproduce the exact-pricing run to
-within 1e-9 relative on every report metric — across the same eight engine
-configurations the invariant suite locks down (monolithic open/closed/
-chunked/shedding, split closed/Poisson, homogeneous and heterogeneous
-clusters).  Exact mode stays the default everywhere; these tests are the
-fast path's accountability.
-
-Also covers the :class:`TransferFeed` running token counter (previously an
-O(n) heap walk per router decision).
+Routers read ``queued_tokens`` on every decision, so the feed keeps it as a
+running total instead of walking its heap.  The counter must follow every
+push and take, whatever order requests become ready in.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
-import numpy as np
-import pytest
-
-from repro.core.executor import StageExecutor, StageWorkload
-from repro.core.system import duplex_system
-from repro.models.config import mixtral
-from repro.serving.cluster import (
-    ClusterSimulator,
-    MonolithicReplicaSpec,
-    PowerOfTwoChoicesRouter,
-    SplitReplicaSpec,
-)
-from repro.serving.engine import IncrementalStagePricer, TransferFeed
-from repro.serving.generator import WorkloadSpec
-from repro.serving.policy import ChunkedPrefillPolicy, SloAwarePolicy
+from repro.serving.engine import TransferFeed
 from repro.serving.request import Request
-from repro.serving.simulator import ServingSimulator, SimulationLimits
-from repro.serving.split import SplitServingSimulator
-
-MODEL = mixtral()
-SYSTEM = duplex_system(MODEL, co_processing=True, expert_tensor_parallel=True)
-LIMITS = SimulationLimits(max_stages=60, warmup_stages=6)
-SPEC_OPEN = WorkloadSpec(lin_mean=160, lout_mean=24, lin_cv=0.3, lout_cv=0.3, qps=25.0)
-SPEC_CLOSED = WorkloadSpec(lin_mean=160, lout_mean=24, lin_cv=0.3, lout_cv=0.3)
 
 
-# ----------------------------------------------------------------------
-# the eight engine configurations (mirroring tests/serving/test_invariants)
-# ----------------------------------------------------------------------
-def build_mono_open(seed):
-    return ServingSimulator(SYSTEM, MODEL, SPEC_OPEN, max_batch=6, seed=seed)
-
-
-def build_mono_warm_closed(seed):
-    return ServingSimulator(SYSTEM, MODEL, SPEC_CLOSED, max_batch=6, seed=seed)
-
-
-def build_mono_chunked(seed):
-    return ServingSimulator(
-        SYSTEM, MODEL, SPEC_OPEN, max_batch=6, seed=seed,
-        policy=ChunkedPrefillPolicy(max_prefill_tokens=64),
-    )
-
-
-def build_mono_shedding(seed):
-    spec = WorkloadSpec(lin_mean=160, lout_mean=24, lin_cv=0.3, lout_cv=0.3, qps=400.0)
-    return ServingSimulator(
-        SYSTEM, MODEL, spec, max_batch=4, seed=seed,
-        policy=SloAwarePolicy(t2ft_slo_s=0.02, prefer_short_inputs=True),
-    )
-
-
-def build_split_closed(seed):
-    return SplitServingSimulator(MODEL, SPEC_CLOSED, max_batch=8, seed=seed)
-
-
-def build_split_poisson(seed):
-    return SplitServingSimulator(MODEL, SPEC_OPEN, max_batch=8, seed=seed)
-
-
-def build_cluster(seed):
-    spec = WorkloadSpec(lin_mean=160, lout_mean=24, lin_cv=0.3, lout_cv=0.3, qps=120.0)
-    return ClusterSimulator(
-        SYSTEM, MODEL, spec, n_replicas=2,
-        router=PowerOfTwoChoicesRouter(seed=seed), max_batch=4, seed=seed,
-        memoize_pricing=False, max_requests=50,
-    )
-
-
-def build_cluster_hetero(seed):
-    spec = WorkloadSpec(lin_mean=160, lout_mean=24, lin_cv=0.3, lout_cv=0.3, qps=80.0)
-    return ClusterSimulator(
-        SYSTEM, MODEL, spec, max_batch=6, seed=seed, max_requests=40,
-        memoize_pricing=False,
-        replicas=(MonolithicReplicaSpec(), SplitReplicaSpec()),
-    )
-
-
-CONFIGURATIONS = {
-    "mono-open": build_mono_open,
-    "mono-warm-closed": build_mono_warm_closed,
-    "mono-chunked-prefill": build_mono_chunked,
-    "mono-slo-shedding": build_mono_shedding,
-    "split-closed": build_split_closed,
-    "split-poisson": build_split_poisson,
-    "cluster-homogeneous": build_cluster,
-    "cluster-heterogeneous": build_cluster_hetero,
-}
-
-
-def _run(build, seed, incremental: bool):
-    sim = build(seed)
-    for engine in sim.engines:
-        # Deterministic gating isolates the delta path's float error from
-        # expert-routing resampling (which delta stages legitimately skip).
-        engine.executor.deterministic_gating = True
-        if incremental:
-            engine.pricer = IncrementalStagePricer(engine.executor)
-    report = sim.run(LIMITS)
-    pricers = [engine.pricer for engine in sim.engines if engine.pricer is not None]
-    return report, pricers
-
-
-def _assert_reports_close(exact, incremental, rel=1e-9):
-    exact_dict = dataclasses.asdict(getattr(exact, "fleet", exact))
-    incr_dict = dataclasses.asdict(getattr(incremental, "fleet", incremental))
-    assert exact_dict.keys() == incr_dict.keys()
-    for key, exact_value in exact_dict.items():
-        incr_value = incr_dict[key]
-        if isinstance(exact_value, (int, float)):
-            assert incr_value == pytest.approx(exact_value, rel=rel, abs=1e-12), key
-        elif isinstance(exact_value, dict):
-            assert exact_value.keys() == incr_value.keys(), key
-            for sub, value in exact_value.items():
-                if isinstance(value, (int, float)):
-                    assert incr_value[sub] == pytest.approx(value, rel=rel, abs=1e-12), (
-                        key, sub,
-                    )
-
-
-@pytest.mark.parametrize("config", sorted(CONFIGURATIONS))
-def test_incremental_matches_exact_within_tolerance(config):
-    build = CONFIGURATIONS[config]
-    exact_report, _ = _run(build, seed=7, incremental=False)
-    incremental_report, pricers = _run(build, seed=7, incremental=True)
-    _assert_reports_close(exact_report, incremental_report)
-    assert pricers, "no pricer was attached"
-
-
-def test_steady_decode_uses_the_delta_path():
-    sim = build_mono_warm_closed(seed=3)
-    for engine in sim.engines:
-        engine.executor.deterministic_gating = True
-        engine.pricer = IncrementalStagePricer(engine.executor)
-    sim.run(LIMITS)
-    pricer = sim.engine.pricer
-    assert pricer.delta_stages > 0
-    assert 0.0 < pricer.delta_rate <= 1.0
-
-
-# ----------------------------------------------------------------------
-# pricer mechanics at the stage level
-# ----------------------------------------------------------------------
-def _executor():
-    return StageExecutor(SYSTEM, MODEL, seed=0, deterministic_gating=True)
-
-
-def test_delta_stage_matches_full_reprice():
-    executor = _executor()
-    pricer = IncrementalStagePricer(executor)
-    contexts = np.array([512, 1024, 2048, 300], dtype=np.int64)
-    first = pricer.price(StageWorkload(decode_context_lengths=contexts))
-    assert pricer.exact_stages == 1 and pricer.delta_stages == 0
-    second = pricer.price(StageWorkload(decode_context_lengths=contexts + 1))
-    assert pricer.delta_stages == 1
-    exact = _executor().run_stage(StageWorkload(decode_context_lengths=contexts + 1))
-    assert second.latency_s == pytest.approx(exact.latency_s, rel=1e-9)
-    assert second.energy_j == pytest.approx(exact.energy_j, rel=1e-9)
-    assert second.tokens_generated == exact.tokens_generated
-    assert first.latency_s != second.latency_s  # contexts grew, price moved
-
-
-def test_composition_changes_fall_back_to_exact():
-    executor = _executor()
-    pricer = IncrementalStagePricer(executor)
-    contexts = np.array([512, 1024], dtype=np.int64)
-    pricer.price(StageWorkload(decode_context_lengths=contexts))
-    # admission (batch grew) — not a +1 shift
-    pricer.price(StageWorkload(decode_context_lengths=np.array([513, 1025, 64])))
-    assert pricer.delta_stages == 0 and pricer.exact_stages == 2
-    # mixed stage — falls back AND breaks the chain
-    pricer.price(
-        StageWorkload(
-            decode_context_lengths=np.array([514, 1026, 65]), prefill_lengths=(128,)
-        )
-    )
-    assert pricer.exact_stages == 3
-    # successor of a mixed stage cannot delta-price either
-    pricer.price(StageWorkload(decode_context_lengths=np.array([515, 1027, 66, 128])))
-    assert pricer.exact_stages == 4 and pricer.delta_stages == 0
-
-
-def test_delta_chain_continues_across_stages():
-    pricer = IncrementalStagePricer(_executor())
-    contexts = np.array([256, 700], dtype=np.int64)
-    for step in range(5):
-        pricer.price(StageWorkload(decode_context_lengths=contexts + step))
-    assert pricer.exact_stages == 1
-    assert pricer.delta_stages == 4
-
-
-# ----------------------------------------------------------------------
-# TransferFeed token counter (satellite)
-# ----------------------------------------------------------------------
 def _request(request_id, input_len, output_len):
     return Request(
         request_id=request_id, arrival_time_s=0.0, input_len=input_len, output_len=output_len

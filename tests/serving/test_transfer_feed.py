@@ -56,20 +56,15 @@ class TestTransferFeed:
         assert [feed.take(1.0).request_id for _ in range(3)] == [7, 3, 5]
 
     def test_queued_tokens_tracks_in_flight_reservations(self):
-        in_order = [(1.0, request(0, 100, 10)), (2.0, request(1, 50, 5))]
-        # Pushed in reverse ready order, so takes leave in the opposite order.
-        reversed_order = [(float(20 - i), request(i, 100 + i, 10 + i)) for i in range(20)]
-        for pushes in (in_order, reversed_order):
-            feed = TransferFeed()
-            expected = 0
-            for ready_s, r in pushes:
-                feed.push(ready_s, r)
-                expected += r.total_seq_len
-                assert feed.queued_tokens == expected
-            while len(feed):
-                expected -= feed.take(float("inf")).total_seq_len
-                assert feed.queued_tokens == expected
-            assert feed.queued_tokens == 0
+        feed = TransferFeed()
+        a, b = request(0, input_len=100, output_len=10), request(1, input_len=50, output_len=5)
+        feed.push(1.0, a)
+        feed.push(2.0, b)
+        assert feed.queued_tokens == a.total_seq_len + b.total_seq_len
+        feed.take(1.0)
+        assert feed.queued_tokens == b.total_seq_len
+        feed.take(2.0)
+        assert feed.queued_tokens == 0
 
     def test_readiness_protocol(self):
         feed = TransferFeed()
