@@ -130,7 +130,7 @@ def _group_structure(
     if groups is None:
         return [(i,) for i in range(n_experts)]
     seen = [index for group in groups for index in group]
-    if sorted(seen) != list(range(n_experts)):
+    if not all(groups) or sorted(seen) != list(range(n_experts)):
         raise ConfigError("groups must partition the resident experts exactly")
     return [tuple(group) for group in groups]
 
@@ -143,17 +143,46 @@ class SpaceGroupPlan:
     of stages (the stage executor) compile the groups once and pass the
     plan to :func:`assign_from_times`.
 
+    For greedies evaluated over many stages at once (one row per expert,
+    one column per stage) the plan also holds ``group_of``, each expert's
+    unit index, and ``member_rows``: for each position ``p`` within a
+    unit, the pair (units with a member at ``p``, those members), each a
+    row selector.  Starting from every unit's first member and adding each
+    later position's member rows onto their units sums every unit in
+    member order, as :func:`_accumulate_groups` does.
+
     Args:
         n_experts: resident experts the plan covers.
         groups: space-granularity groups, or None for expert granularity.
     """
 
-    __slots__ = ("n_experts", "units", "singletons")
+    __slots__ = ("n_experts", "units", "singletons", "group_of", "member_rows")
 
     def __init__(self, n_experts: int, groups: Sequence[Sequence[int]] | None) -> None:
         self.n_experts = n_experts
         self.units = _group_structure(n_experts, groups)
         self.singletons = groups is None
+        self.group_of = np.empty(n_experts, dtype=np.intp)
+        for g, members in enumerate(self.units):
+            self.group_of[list(members)] = g
+        depth = max((len(members) for members in self.units), default=0)
+        self.member_rows = tuple(
+            (
+                _row_index([g for g, m in enumerate(self.units) if len(m) > p]),
+                _row_index([m[p] for m in self.units if len(m) > p]),
+            )
+            for p in range(depth)
+        )
+
+
+def _row_index(indices: list[int]) -> slice | np.ndarray:
+    """Row selector: a slice for a contiguous ascending run, else an index
+    array.  Round-robin space groups give slices only, which select rows
+    without a gather."""
+    start = indices[0]
+    if indices == list(range(start, start + len(indices))):
+        return slice(start, start + len(indices))
+    return np.array(indices, dtype=np.intp)
 
 
 def assign_experts(

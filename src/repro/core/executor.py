@@ -544,120 +544,113 @@ class StageExecutor:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-stage MoE (latency, dram J, compute J) for a decode run.
 
-        ``counts_mat`` holds one routed-count row per stage.  Per-expert
-        prices come from a lookup table over every possible count (counts
-        are bounded by ``max_count = batch * top_k``), indexed per stage —
-        the exact floats the per-stage array path derives, in the same
+        ``counts_mat`` holds one routed-count row per stage.  It is
+        transposed once into a stage-minor layout — one row per expert (or
+        space group), one column per stage — so every per-expert step is a
+        contiguous vector op and every in-order sum runs down axis 0.
+        Per-expert prices come from a lookup table over every possible
+        count (counts are bounded by ``max_count = batch * top_k``) — the
+        exact floats the per-stage array path derives, in the same
         accumulation order (segment by segment, xPU charges before
-        Logic-PIM, expert energies folded left-to-right from the gate's
-        contribution).
+        Logic-PIM, expert energies folded in order after the gate's and
+        the shared experts' contributions).
         """
         model, system = self.model, self.system
         layers = model.n_moe_layers
         charge = self._gate_charge(local_tokens)
         gate_time = charge[1]
-        gate_dram = charge[2] * layers
-        gate_comp = charge[3] * layers
         shared = self._shared_expert_charge(local_tokens) if local_tokens > 0 else None
 
+        counts = np.ascontiguousarray(counts_mat.T)
         luts = self._run_luts(max_count)
         worst_v = np.zeros(n_run)
-        dram_blocks: list[np.ndarray] = []
-        comp_blocks: list[np.ndarray] = []
+        # Energy rows in the scalar path's order: gate, shared experts,
+        # then the routed-expert blocks.
+        dram_rows = [np.full((1, n_run), charge[2] * layers)]
+        comp_rows = [np.full((1, n_run), charge[3] * layers)]
+        shared_time = 0.0
+        if shared is not None:
+            shared_time = shared[1]
+            dram_rows.append(np.full((1, n_run), shared[2] * layers))
+            comp_rows.append(np.full((1, n_run), shared[3] * layers))
 
         if system.kind is SystemKind.GPU or system.kind is SystemKind.HETERO:
             t_lut, d_lut, c_lut = luts
-            times_mat = t_lut[counts_mat]
+            times = t_lut[counts]
             for start, stop, _ in self._expert_segments:
-                seg_sum = times_mat[:, start:stop].cumsum(axis=1)[:, -1]
-                worst_v = np.maximum(worst_v, seg_sum)
+                worst_v = np.maximum(worst_v, times[start:stop].cumsum(axis=0)[-1])
             charged_layers = layers * self._expert_segments[0][2]
-            dram_blocks.append(d_lut[counts_mat] * charged_layers)
-            comp_blocks.append(c_lut[counts_mat] * charged_layers)
+            dram_rows.append(d_lut[counts] * charged_layers)
+            comp_rows.append(c_lut[counts] * charged_layers)
         else:
             tx_lut, tp_lut, dx_lut, dp_lut, cx_lut, cp_lut = luts
             coprocess = system.expert_coprocessing and system.device.supports_coprocessing
             for start, stop, multiplicity in self._expert_segments:
-                seg = counts_mat[:, start:stop]
+                seg = counts[start:stop]
                 seg_layers = layers * multiplicity
                 xt = tx_lut[seg]
                 pt = tp_lut[seg]
                 if not coprocess:
-                    x_tot = xt.cumsum(axis=1)[:, -1]
-                    p_tot = pt.cumsum(axis=1)[:, -1]
-                    on_xpu_row = (x_tot <= p_tot)[:, None]
-                    dram_blocks.append(
-                        np.where(on_xpu_row, dx_lut[seg], dp_lut[seg]) * seg_layers
-                    )
-                    comp_blocks.append(
-                        np.where(on_xpu_row, cx_lut[seg], cp_lut[seg]) * seg_layers
-                    )
-                    worst_v = np.maximum(
-                        worst_v, np.where(on_xpu_row[:, 0], x_tot, p_tot)
-                    )
+                    x_tot = xt.cumsum(axis=0)[-1]
+                    p_tot = pt.cumsum(axis=0)[-1]
+                    on_xpu = x_tot <= p_tot
+                    dram_rows.append(np.where(on_xpu, dx_lut[seg], dp_lut[seg]) * seg_layers)
+                    comp_rows.append(np.where(on_xpu, cx_lut[seg], cp_lut[seg]) * seg_layers)
+                    worst_v = np.maximum(worst_v, np.where(on_xpu, x_tot, p_tot))
                     continue
-                # The paper's greedy (coprocessing.assign_from_times),
-                # vectorized across the stage axis: move the lightest
-                # groups to Logic-PIM while the makespan improves.
-                plan = self._assign_plan
-                assert plan is not None
-                if plan.singletons:
-                    g_tokens = seg
-                    g_x, g_p = xt, pt
-                    gid = None
-                else:
-                    n_groups = len(plan.units)
-                    g_tokens = np.zeros((n_run, n_groups), dtype=np.int64)
-                    g_x = np.zeros((n_run, n_groups))
-                    g_p = np.zeros((n_run, n_groups))
-                    gid = np.empty(stop - start, dtype=np.intp)
-                    for g, members in enumerate(plan.units):
-                        tok = np.zeros(n_run, dtype=np.int64)
-                        xs = np.zeros(n_run)
-                        ps = np.zeros(n_run)
-                        for index in members:
-                            tok = tok + seg[:, index]
-                            xs = xs + xt[:, index]
-                            ps = ps + pt[:, index]
-                            gid[index] = g
-                        g_tokens[:, g] = tok
-                        g_x[:, g] = xs
-                        g_p[:, g] = ps
-                order = np.argsort(g_tokens, axis=1, kind="stable")
-                rows = np.arange(n_run)[:, None]
-                sorted_x = g_x[rows, order]
-                sorted_p = g_p[rows, order]
-                all_x = g_x.cumsum(axis=1)[:, -1:]
-                running_x = np.concatenate([all_x, -sorted_x], axis=1).cumsum(axis=1)
-                running_p = np.concatenate(
-                    [np.zeros((n_run, 1)), sorted_p], axis=1
-                ).cumsum(axis=1)
-                makespans = np.maximum(running_x, running_p)
-                best_k = makespans.argmin(axis=1)
-                seg_time = makespans[rows[:, 0], best_k]
-                ranks = np.empty_like(order)
-                ranks[rows, order] = np.arange(order.shape[1])[None, :]
-                on_pim_g = ranks < best_k[:, None]
-                on_pim = on_pim_g if gid is None else on_pim_g[:, gid]
-                dram_blocks.append(np.where(on_pim, 0.0, dx_lut[seg] * seg_layers))
-                dram_blocks.append(np.where(on_pim, dp_lut[seg] * seg_layers, 0.0))
-                comp_blocks.append(np.where(on_pim, 0.0, cx_lut[seg] * seg_layers))
-                comp_blocks.append(np.where(on_pim, cp_lut[seg] * seg_layers, 0.0))
+                seg_time, on_pim = self._coprocess_run(seg, xt, pt)
+                dram_rows.append(np.where(on_pim, 0.0, dx_lut[seg] * seg_layers))
+                dram_rows.append(np.where(on_pim, dp_lut[seg] * seg_layers, 0.0))
+                comp_rows.append(np.where(on_pim, 0.0, cx_lut[seg] * seg_layers))
+                comp_rows.append(np.where(on_pim, cp_lut[seg] * seg_layers, 0.0))
                 worst_v = np.maximum(worst_v, seg_time)
 
-        head_dram = [np.full((n_run, 1), gate_dram)]
-        head_comp = [np.full((n_run, 1), gate_comp)]
-        shared_time = 0.0
-        if shared is not None:
-            # Same accumulation order as the scalar path: gate, then the
-            # shared experts, then the routed-expert segments.
-            shared_time = shared[1]
-            head_dram.append(np.full((n_run, 1), shared[2] * layers))
-            head_comp.append(np.full((n_run, 1), shared[3] * layers))
-        moe_dram_v = np.concatenate(head_dram + dram_blocks, axis=1).cumsum(axis=1)[:, -1]
-        moe_comp_v = np.concatenate(head_comp + comp_blocks, axis=1).cumsum(axis=1)[:, -1]
+        moe_dram_v = np.concatenate(dram_rows).cumsum(axis=0)[-1]
+        moe_comp_v = np.concatenate(comp_rows).cumsum(axis=0)[-1]
         moe_time_v = (gate_time + shared_time + worst_v) * layers
         return moe_time_v, moe_dram_v, moe_comp_v
+
+    def _coprocess_run(
+        self, seg: np.ndarray, xt: np.ndarray, pt: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The paper's greedy (:func:`~repro.core.coprocessing.assign_from_times`)
+        on one device's stage-minor counts and unit times.
+
+        Moves the lightest groups to Logic-PIM while the makespan improves,
+        for every stage column at once.  Returns the per-stage makespan
+        and the per-expert, per-stage Logic-PIM mask.
+        """
+        plan = self._assign_plan
+        assert plan is not None
+        if plan.singletons:
+            g_tokens, g_x, g_p = seg, xt, pt
+        else:
+            # Group sums in member order: each group's first member (copied,
+            # as a slice selects a view), then one later position at a time.
+            (_, first), *later = plan.member_rows
+            g_tokens = seg[first].copy()
+            g_x = xt[first].copy()
+            g_p = pt[first].copy()
+            for groups, members in later:
+                g_tokens[groups] += seg[members]
+                g_x[groups] += xt[members]
+                g_p[groups] += pt[members]
+        n_groups, n_run = g_x.shape
+        cols = np.arange(n_run)
+        order = np.argsort(g_tokens, axis=0, kind="stable")
+        # Prefix k of each column's order == "k lightest groups moved"; the
+        # seeded cumulative sums reproduce the iterative running totals.
+        all_x = g_x.cumsum(axis=0)[-1:]
+        running_x = np.concatenate((all_x, -g_x[order, cols])).cumsum(axis=0)
+        running_p = np.concatenate((np.zeros((1, n_run)), g_p[order, cols])).cumsum(axis=0)
+        makespans = np.maximum(running_x, running_p)
+        best_k = makespans.argmin(axis=0)  # first minimum == strict improvement
+        ranks = np.empty_like(order)
+        ranks[order, cols] = np.arange(n_groups)[:, None]
+        on_pim = ranks < best_k
+        if not plan.singletons:
+            on_pim = on_pim[plan.group_of]
+        return makespans[best_k, cols], on_pim
 
     # ------------------------------------------------------------------
     # main entry

@@ -697,7 +697,7 @@ class ElasticFleetSimulator(ClusterSimulator):
                 self._t2ft_window.extend(t2ft[cursor:])
                 self._t2ft_cursors[handle.index] = len(t2ft)
             values, weights, cursor = metrics.tbt_samples_since(
-                self._tbt_cursors.get(handle.index, 0)
+                self._tbt_cursors.get(handle.index, 0), self.slo_window
             )
             if values:
                 self._tbt_window.extend(zip(values, weights, strict=True))

@@ -4,19 +4,13 @@ TBT samples are weighted (one stage latency counts once per decode token it
 produced), so percentiles are computed over the token population exactly as
 a per-token trace would give, without storing one entry per token.
 
-TBT storage is *columnar-hot-loop friendly*: instead of unbounded
-per-stage Python lists (two appends per stage, unbounded growth over
-long fleets), the collector keeps
-
-* a latency histogram (``value -> summed token weight``) — percentiles
-  and SLO attainment over the histogram are byte-identical to the old
-  per-stage lists, because weights are integer-valued token counts whose
-  group sums are exact;
-* scalar Welford moments (token-weighted mean/M2) for streaming
-  mean/stddev without any list;
-* a small bounded deque of the most recent samples backing the
-  incremental :meth:`MetricsCollector.tbt_samples_since` cursor API the
-  autoscaling controller polls.
+TBT samples live in two float64 columns, per-stage latency and token
+weight, grown by amortized doubling: a scalar stage writes one element and
+a vectorized decode run writes one slice.  Percentiles and SLO attainment
+read the filled prefix; weights are integer-valued token counts, so every
+partial weight sum is exact and the results do not depend on how samples
+with equal latency are grouped.  The autoscaling controller polls the same
+columns through the :meth:`MetricsCollector.tbt_samples_since` cursor.
 
 Per-request T2FT/E2E samples stay as lists — they are bounded by request
 count, not stage count, and the report needs their medians.
@@ -25,7 +19,6 @@ count, not stage count, and the report needs their medians.
 from __future__ import annotations
 
 import contextlib
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -132,25 +125,21 @@ class ServingReport:
     prefix: dict[str, float] = field(default_factory=dict)
 
 
-#: How many recent TBT samples back the incremental cursor API.  Far
-#: larger than any consumer's own window (the autoscaler keeps 64); a
-#: poll gap exceeding this only drops samples the consumer's sliding
-#: window would have evicted anyway.
-_TBT_RECENT_MAXLEN = 512
+#: Initial length of the TBT columns (they double whenever they fill).
+_TBT_INITIAL_CAPACITY = 256
 
 
 @dataclass
 class MetricsCollector:
     """Accumulates per-stage and per-request measurements."""
 
-    _tbt_hist: dict[float, float] = field(default_factory=dict)
-    _tbt_count: int = 0
-    _tbt_weight_total: float = 0.0
-    _tbt_mean: float = 0.0
-    _tbt_m2: float = 0.0
-    _tbt_recent: deque[tuple[float, float]] = field(
-        default_factory=lambda: deque(maxlen=_TBT_RECENT_MAXLEN)
+    _tbt_values: np.ndarray = field(
+        default_factory=lambda: np.empty(_TBT_INITIAL_CAPACITY), repr=False
     )
+    _tbt_weights: np.ndarray = field(
+        default_factory=lambda: np.empty(_TBT_INITIAL_CAPACITY), repr=False
+    )
+    _tbt_count: int = 0
     _t2ft: list[float] = field(default_factory=list)
     _e2e: list[float] = field(default_factory=list)
     _stages_total: int = 0
@@ -221,24 +210,32 @@ class MetricsCollector:
         if is_mixed:
             self._stages_mixed += 1
         if decode_tokens > 0:
-            self._record_tbt(latency_s, float(decode_tokens))
+            index = self._reserve_tbt(1)
+            self._tbt_values[index] = latency_s
+            self._tbt_weights[index] = decode_tokens
         self._tokens += total_tokens_generated
         self._elapsed_s += latency_s
         self._busy_s += latency_s
         self._add_energy(dram_energy, compute_energy, comm_energy_j)
 
-    def _record_tbt(self, value: float, weight: float) -> None:
-        """Fold one token-weighted TBT sample into the scalar state."""
-        hist = self._tbt_hist
-        hist[value] = hist.get(value, 0.0) + weight
-        self._tbt_count += 1
-        self._tbt_weight_total += weight
-        # Token-weighted Welford update (numerically stable streaming
-        # mean/M2 — no per-stage list needed for mean/stddev).
-        delta = value - self._tbt_mean
-        self._tbt_mean += (weight / self._tbt_weight_total) * delta
-        self._tbt_m2 += weight * delta * (value - self._tbt_mean)
-        self._tbt_recent.append((value, weight))
+    def _reserve_tbt(self, n: int) -> int:
+        """Claim ``n`` TBT slots past the filled prefix; return the first."""
+        start = self._tbt_count
+        end = start + n
+        if end > self._tbt_values.size:
+            capacity = max(end, 2 * self._tbt_values.size)
+            values = np.empty(capacity)
+            values[:start] = self._tbt_values[:start]
+            weights = np.empty(capacity)
+            weights[:start] = self._tbt_weights[:start]
+            self._tbt_values, self._tbt_weights = values, weights
+        self._tbt_count = end
+        return start
+
+    def _tbt_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """(latency, token weight) views of every TBT sample, in record order."""
+        count = self._tbt_count
+        return self._tbt_values[:count], self._tbt_weights[:count]
 
     def record_decode_run(
         self,
@@ -253,7 +250,7 @@ class MetricsCollector:
         columnar fast path: every accumulator lands on the exact floats
         ``n`` sequential ``record_stage`` calls would produce (seeded
         cumulative sums reproduce left-to-right addition order bit for
-        bit; histogram weights are exact integer-valued token counts).
+        bit; the TBT columns receive the same samples in the same order).
 
         Args:
             latencies: per-stage latencies of the run, in stage order.
@@ -279,9 +276,9 @@ class MetricsCollector:
         )
         self._busy_s = float(np.concatenate(([self._busy_s], latencies)).cumsum()[-1])
         if decode_tokens > 0:
-            weight = float(decode_tokens)
-            for value in latencies.tolist():
-                self._record_tbt(value, weight)
+            start = self._reserve_tbt(n)
+            self._tbt_values[start : start + n] = latencies
+            self._tbt_weights[start : start + n] = decode_tokens
         components = self._energy_by_component
         for key, joules in energy_components:
             components[key] = float(
@@ -561,20 +558,12 @@ class MetricsCollector:
         the fleet's wall clock, not over the sum of per-replica clocks.
         """
         fleet = cls()
+        if collectors:
+            columns = [collector._tbt_columns() for collector in collectors]
+            fleet._tbt_values = np.concatenate([values for values, _ in columns])
+            fleet._tbt_weights = np.concatenate([weights for _, weights in columns])
+            fleet._tbt_count = fleet._tbt_values.size
         for collector in collectors:
-            for value, weight in collector._tbt_hist.items():
-                fleet._tbt_hist[value] = fleet._tbt_hist.get(value, 0.0) + weight
-            fleet._tbt_count += collector._tbt_count
-            fleet._tbt_recent.extend(collector._tbt_recent)
-            if collector._tbt_weight_total > 0:
-                # Parallel (Chan et al.) combination of Welford moments.
-                wa = fleet._tbt_weight_total
-                wb = collector._tbt_weight_total
-                delta = collector._tbt_mean - fleet._tbt_mean
-                total = wa + wb
-                fleet._tbt_mean += delta * wb / total
-                fleet._tbt_m2 += collector._tbt_m2 + delta * delta * wa * wb / total
-                fleet._tbt_weight_total = total
             fleet._t2ft.extend(collector._t2ft)
             fleet._e2e.extend(collector._e2e)
             fleet._stages_total += collector._stages_total
@@ -669,46 +658,26 @@ class MetricsCollector:
         """
         return self._t2ft
 
-    @property
-    def tbt_samples(self) -> tuple[Sequence[float], Sequence[float]]:
-        """(values, weights) of the TBT population recorded so far.
-
-        Values are the distinct stage latencies in first-seen order,
-        each carrying its total token weight (the histogram the
-        percentile/attainment math consumes) — equal-weighted-percentile
-        to the historical one-entry-per-stage lists, without the
-        unbounded storage.
-        """
-        return list(self._tbt_hist.keys()), list(self._tbt_hist.values())
-
-    def tbt_samples_since(self, cursor: int) -> tuple[list[float], list[float], int]:
-        """Incremental TBT poll: samples recorded after ``cursor``.
+    def tbt_samples_since(
+        self, cursor: int, max_samples: int
+    ) -> tuple[list[float], list[float], int]:
+        """Incremental TBT poll: the newest samples recorded after ``cursor``.
 
         Returns ``(values, weights, new_cursor)`` where the cursor is an
-        opaque monotone sample count (start from 0).  Backed by a
-        bounded recent-sample buffer: a poll gap larger than the buffer
-        yields only the newest samples, which is lossless for every
-        sliding-window consumer narrower than the buffer (the dropped
-        samples would have been evicted from their window anyway).
+        opaque monotone sample count (start from 0).  At most the newest
+        ``max_samples`` samples are returned: a sliding-window consumer
+        passes its window length, since older samples would be evicted
+        from its window anyway.
         """
-        gap = self._tbt_count - cursor
-        if gap <= 0:
-            return [], [], self._tbt_count
-        take = min(gap, len(self._tbt_recent))
-        recent = list(self._tbt_recent)[-take:] if take else []
-        return [v for v, _ in recent], [w for _, w in recent], self._tbt_count
-
-    @property
-    def tbt_mean_s(self) -> float:
-        """Token-weighted mean TBT (0.0 before any decode stage)."""
-        return self._tbt_mean if self._tbt_weight_total > 0 else 0.0
-
-    @property
-    def tbt_std_s(self) -> float:
-        """Token-weighted population TBT stddev (Welford moments)."""
-        if self._tbt_weight_total <= 0:
-            return 0.0
-        return float(np.sqrt(max(0.0, self._tbt_m2 / self._tbt_weight_total)))
+        count = self._tbt_count
+        start = max(cursor, count - max_samples)
+        if start >= count:
+            return [], [], count
+        return (
+            self._tbt_values[start:count].tolist(),
+            self._tbt_weights[start:count].tolist(),
+            count,
+        )
 
     def tbt_slo_attainment(self, slo_s: float) -> float:
         """Fraction of generated tokens whose TBT met ``slo_s``.
@@ -718,10 +687,9 @@ class MetricsCollector:
         """
         if slo_s <= 0:
             raise ConfigError("SLO must be positive")
-        if not self._tbt_hist:
+        if not self._tbt_count:
             raise SimulationError("no TBT samples recorded")
-        values = np.asarray(list(self._tbt_hist.keys()))
-        weights = np.asarray(list(self._tbt_hist.values()))
+        values, weights = self._tbt_columns()
         met = weights[values <= slo_s].sum()
         return float(met / weights.sum())
 
@@ -771,8 +739,7 @@ class MetricsCollector:
         """Summarise everything recorded so far."""
         if self._stages_total == 0:
             raise SimulationError("no stages recorded")
-        tbt_values = np.asarray(list(self._tbt_hist.keys()))
-        tbt_weights = np.asarray(list(self._tbt_hist.values()))
+        tbt_values, tbt_weights = self._tbt_columns()
         if tbt_values.size == 0:
             tbt_values = np.asarray([0.0])
             tbt_weights = np.asarray([1.0])

@@ -112,6 +112,8 @@ class TestSpaceGranularity:
     def test_bad_groups_rejected(self, lookup):
         with pytest.raises(ConfigError):
             assign_experts(np.array([1, 2, 3]), lookup, [[0, 1]])  # missing expert 2
+        with pytest.raises(ConfigError):
+            assign_experts(np.array([1, 2, 3]), lookup, [[0, 1, 2], []])  # empty space
 
     def test_round_robin_groups_cover_all(self):
         groups = round_robin_space_groups(10, 4)

@@ -11,10 +11,17 @@ randomized inputs far beyond what the goldens exercise:
 * :meth:`ProcessingUnit.op_times` / energy batches vs the scalar calls;
 * :func:`assign_experts` (stable argsort + seeded cumulative sums, with the
   scalar small-count path) vs :func:`assign_experts_reference` (the
-  original iterative greedy), with and without memory-space groups.
+  original iterative greedy), with and without memory-space groups;
+* :class:`SpaceGroupPlan` member rows (stage-minor group sums) vs the
+  scalar member-order group walk, on arbitrary partitions;
+* :meth:`StageExecutor.price_decode_run` vs sequential
+  :meth:`StageExecutor.run_stage` calls, on every system family, and the
+  gating-RNG position after a truncated run's rewind.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,9 +31,19 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.core.coprocessing import (  # noqa: E402
     ExpertTimeLookup,
+    SpaceGroupPlan,
+    _accumulate_groups,
     assign_experts,
     assign_experts_reference,
     round_robin_space_groups,
+)
+from repro.core.executor import StageExecutor, StageWorkload  # noqa: E402
+from repro.core.system import (  # noqa: E402
+    bank_pim_system,
+    duplex_system,
+    gpu_system,
+    hetero_system,
+    sharded_system,
 )
 from repro.hardware.specs import h100_xpu, logic_pim_unit  # noqa: E402
 from repro.models.config import glam, mixtral  # noqa: E402
@@ -115,6 +132,33 @@ def test_greedy_assignment_matches_iterative_reference(model_key, counts, fracti
     assert fast.pim_time_s == reference.pim_time_s
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n_experts=st.integers(1, 24))
+def test_member_rows_sum_groups_in_member_order(data, n_experts):
+    # Any partition, including non-contiguous and unequal groups: the
+    # stage-minor group sums must equal the scalar member-order walk.
+    order = data.draw(st.permutations(range(n_experts)))
+    cuts = sorted(data.draw(st.sets(st.integers(1, max(1, n_experts - 1)))) - {n_experts})
+    groups = [list(order[a:b]) for a, b in zip([0, *cuts], [*cuts, n_experts], strict=True)]
+    plan = SpaceGroupPlan(n_experts, groups)
+    rng = np.random.default_rng(n_experts)
+    counts = rng.integers(0, 50, (n_experts, 4))
+    times = rng.random((n_experts, 4)) * 10.0 ** rng.integers(-6, 0, (n_experts, 4))
+    (_, first), *later = plan.member_rows
+    group_tokens, group_times = counts[first].copy(), times[first].copy()
+    for units, members in later:
+        group_tokens[units] += counts[members]
+        group_times[units] += times[members]
+    for stage in range(4):
+        tokens, sums, _ = _accumulate_groups(
+            counts[:, stage].tolist(), times[:, stage].tolist(), [0.0] * n_experts, plan.units
+        )
+        assert group_tokens[:, stage].tolist() == tokens
+        assert group_times[:, stage].tolist() == sums
+    for g, members in enumerate(plan.units):
+        assert all(plan.group_of[index] == g for index in members)
+
+
 def test_zero_and_empty_edge_cases_match():
     math = LayerMath(MODELS["mixtral"])
     lookup = ExpertTimeLookup(math, h100_xpu(), logic_pim_unit())
@@ -139,3 +183,84 @@ def test_zero_and_empty_edge_cases_match():
         ref.bytes_read,
         ref.bytes_written,
     )
+
+
+# ----------------------------------------------------------------------
+# price_decode_run against sequential run_stage calls
+# ----------------------------------------------------------------------
+def _oracle_systems():
+    base = mixtral()
+    six = replace(base, n_experts=6)  # 6 experts over 4 spaces: unequal groups
+    shared = replace(base, num_shared_experts=2)
+    wide = glam()  # 16-member space groups
+    return {
+        "gpu": (gpu_system(base), base),
+        "2xgpu": (gpu_system(base, doubled=True), base),
+        "hetero": (hetero_system(base), base),
+        "duplex": (duplex_system(base), base),
+        "duplex_pe": (duplex_system(base, co_processing=True), base),
+        "duplex_pe_et": (
+            duplex_system(base, co_processing=True, expert_tensor_parallel=True),
+            base,
+        ),
+        "bankpim": (bank_pim_system(base), base),
+        "tp2_ep2": (sharded_system(base, tp=2, ep=2), base),
+        "tp2_ep2_et": (sharded_system(base, tp=2, ep=2, expert_tensor_parallel=True), base),
+        "six_experts_pe_et": (
+            duplex_system(six, co_processing=True, expert_tensor_parallel=True),
+            six,
+        ),
+        "shared_experts": (
+            duplex_system(shared, co_processing=True, expert_tensor_parallel=True),
+            shared,
+        ),
+        "glam_pe_et": (
+            duplex_system(wide, co_processing=True, expert_tensor_parallel=True),
+            wide,
+        ),
+    }
+
+
+ORACLE_SYSTEMS = _oracle_systems()
+RUN_STAGES = 6
+
+
+def _contexts(batch):
+    return np.random.default_rng(batch).integers(0, 4096, batch)
+
+
+@pytest.mark.parametrize("deterministic", [False, True], ids=["sampled", "deterministic"])
+@pytest.mark.parametrize("batch", [1, 3, 32])
+@pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
+def test_decode_run_equals_sequential_stages(name, batch, deterministic):
+    system, model = ORACLE_SYSTEMS[name]
+    ctx = _contexts(batch)
+    run_exec = StageExecutor(system, model, seed=7, deterministic_gating=deterministic)
+    scalar_exec = StageExecutor(system, model, seed=7, deterministic_gating=deterministic)
+    pricing = run_exec.price_decode_run(ctx, RUN_STAGES)
+    assert pricing.n_stages == RUN_STAGES
+    for k in range(1, RUN_STAGES + 1):
+        result = scalar_exec.run_stage(StageWorkload(decode_context_lengths=ctx + k))
+        assert pricing.latencies[k - 1] == result.latency_s
+        assert pricing.categories == tuple(result.dram_energy_by_category)
+        assert pricing.categories == tuple(result.compute_energy_by_category)
+        for category, dram, compute in zip(
+            pricing.categories, pricing.dram, pricing.compute, strict=True
+        ):
+            assert dram[k - 1] == result.dram_energy_by_category[category]
+            assert compute[k - 1] == result.compute_energy_by_category[category]
+        assert pricing.comm_energy_j == result.comm_energy_j
+
+
+@pytest.mark.parametrize("committed", [0, 1, RUN_STAGES - 1, RUN_STAGES])
+@pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
+def test_truncated_run_rewinds_gating_rng(name, committed):
+    system, model = ORACLE_SYSTEMS[name]
+    ctx = _contexts(3)
+    run_exec = StageExecutor(system, model, seed=7)
+    scalar_exec = StageExecutor(system, model, seed=7)
+    pricing = run_exec.price_decode_run(ctx, RUN_STAGES)
+    run_exec.rewind_decode_run(pricing, committed)
+    for k in range(1, committed + 1):
+        scalar_exec.run_stage(StageWorkload(decode_context_lengths=ctx + k))
+    assert run_exec._router.state_snapshot() == scalar_exec._router.state_snapshot()

@@ -324,6 +324,35 @@ class TestControllerMechanics:
         assert seen
         assert all(state == "active" for states in seen for state in states)
 
+    def test_tbt_window_holds_the_newest_samples_of_a_long_poll_gap(self):
+        # A 20 s control interval lets thousands of TBT samples pile up
+        # between polls; the policy's window must still hold the newest
+        # slo_window of them, however many arrived since the last tick.
+        window = 2048
+        seen = []
+
+        class WindowProbe:
+            name = "window-probe"
+
+            def target_replicas(self, view):
+                metrics = sim.handles[0].replica.metrics
+                seen.append(metrics._tbt_count)
+                assert len(view.recent_tbt_s) == min(window, metrics._tbt_count)
+                values, weights = metrics._tbt_columns()
+                assert view.recent_tbt_s == tuple(values[-window:].tolist())
+                assert view.recent_tbt_weights == tuple(weights[-window:].tolist())
+                return 1
+
+        sim = elastic(
+            WindowProbe(),
+            max_replicas=1,
+            control_interval_s=20.0,
+            slo_window=window,
+            max_requests=300,
+        )
+        sim.run(LIMITS)
+        assert seen and seen[0] > window
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             elastic(StaticReplicaPolicy(1), min_replicas=0)

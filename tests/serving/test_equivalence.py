@@ -66,8 +66,11 @@ class TestClusterOfOneEqualsSimulator:
         replica_metrics = fleet.replicas[0].metrics
         assert solo_metrics._t2ft == replica_metrics._t2ft
         assert solo_metrics._e2e == replica_metrics._e2e
-        assert solo_metrics._tbt_hist == replica_metrics._tbt_hist
-        assert solo_metrics._tbt_count == replica_metrics._tbt_count
+        # Per-stage TBT columns in record order (order-sensitive).
+        for solo_column, replica_column in zip(
+            solo_metrics._tbt_columns(), replica_metrics._tbt_columns(), strict=True
+        ):
+            assert solo_column.tolist() == replica_column.tolist()
 
     def test_every_report_field_matches(self):
         # Report every diverging field by name (debuggability when it breaks).

@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigError, SimulationError
 from repro.models.ops import OpCategory
-from repro.serving.metrics import MetricsCollector, weighted_percentile
+from repro.serving.metrics import (
+    _COMPUTE_KEYS,
+    _DRAM_KEYS,
+    MetricsCollector,
+    weighted_percentile,
+)
 
 
 class TestWeightedPercentile:
@@ -265,3 +270,108 @@ class TestCollector:
         collector = MetricsCollector()
         with pytest.raises(SimulationError):
             self._record_simple(collector, latency=0.0)
+
+
+RUN_CATEGORIES = (OpCategory.FC, OpCategory.ATTENTION_DECODE, OpCategory.MOE)
+
+
+def _decode_run(seed, n):
+    """(latencies, dram, compute) of an n-stage run; latencies repeat."""
+    rng = np.random.default_rng(seed)
+    latencies = 0.0105 + rng.integers(0, 6, n) * 5e-4
+    return latencies, rng.random((3, n)), rng.random((3, n))
+
+
+def _record_run(collector, run, tokens, comm_j):
+    latencies, dram, compute = run
+    components = [(_DRAM_KEYS[c], dram[i]) for i, c in enumerate(RUN_CATEGORIES)]
+    components += [(_COMPUTE_KEYS[c], compute[i]) for i, c in enumerate(RUN_CATEGORIES)]
+    collector.record_decode_run(latencies, tokens, components, comm_j)
+
+
+def _record_run_stagewise(collector, run, tokens, comm_j):
+    latencies, dram, compute = run
+    for k, latency in enumerate(latencies.tolist()):
+        collector.record_stage(
+            latency_s=latency,
+            is_mixed=False,
+            decode_tokens=tokens,
+            total_tokens_generated=tokens,
+            dram_energy={c: float(dram[i, k]) for i, c in enumerate(RUN_CATEGORIES)},
+            compute_energy={c: float(compute[i, k]) for i, c in enumerate(RUN_CATEGORIES)},
+            comm_energy_j=comm_j,
+        )
+
+
+def _prefill_stage(collector):
+    collector.record_stage(
+        latency_s=0.2,
+        is_mixed=True,
+        decode_tokens=0,
+        total_tokens_generated=1,
+        dram_energy={OpCategory.FC: 2.0},
+        compute_energy={OpCategory.FC: 1.0},
+        comm_energy_j=0.3,
+    )
+
+
+def _twins(seed):
+    """The same history recorded with decode runs and stage by stage."""
+    runs = [
+        (_decode_run(seed, 300), 32, 0.25),  # past the initial column capacity
+        (_decode_run(seed + 1, 40), 7, 0.0),
+        (_decode_run(seed + 2, 700), 3, 0.5),
+    ]
+    batched, stagewise = MetricsCollector(), MetricsCollector()
+    for index, (run, tokens, comm_j) in enumerate(runs):
+        if index == 1:
+            _prefill_stage(batched)
+            _prefill_stage(stagewise)
+        _record_run(batched, run, tokens, comm_j)
+        _record_run_stagewise(stagewise, run, tokens, comm_j)
+    return batched, stagewise
+
+
+def _assert_twins(batched, stagewise):
+    report, expected = batched.report(), stagewise.report()
+    assert report == expected
+    assert list(report.energy_by_component.items()) == list(
+        expected.energy_by_component.items()
+    )
+    for slo in (0.0105, 0.011, 0.0121, 0.013, 1.0):
+        assert batched.tbt_slo_attainment(slo) == stagewise.tbt_slo_attainment(slo)
+    count = stagewise.tbt_samples_since(0, 1)[2]
+    for cursor in (0, 1, 150, 299, 300, 301, count - 1, count, count + 3):
+        for bound in (1, 64, 10_000):
+            assert batched.tbt_samples_since(cursor, bound) == stagewise.tbt_samples_since(
+                cursor, bound
+            )
+
+
+class TestDecodeRunTwin:
+    """One record_decode_run call lands exactly where n record_stage calls do."""
+
+    def test_batched_run_equals_stagewise_recording(self):
+        _assert_twins(*_twins(seed=1))
+
+    def test_merged_mix_of_run_and_stagewise_collectors(self):
+        (a_run, a_stage), (b_run, b_stage), (c_run, c_stage) = (
+            _twins(seed) for seed in (2, 5, 9)
+        )
+        mixed = MetricsCollector.merged([a_run, b_stage, MetricsCollector(), c_run])
+        stagewise = MetricsCollector.merged([a_stage, b_stage, MetricsCollector(), c_stage])
+        _assert_twins(mixed, stagewise)
+
+
+class TestTbtPoll:
+    def test_poll_returns_the_newest_samples_up_to_the_bound(self):
+        collector = MetricsCollector()
+        latencies = 0.01 + np.arange(3000) * 1e-6
+        collector.record_decode_run(latencies, 4, [], 0.0)
+        values, weights, cursor = collector.tbt_samples_since(0, 2048)
+        assert cursor == 3000
+        assert values == latencies[-2048:].tolist()
+        assert weights == [4.0] * 2048
+        values, _, cursor = collector.tbt_samples_since(2990, 2048)
+        assert (values, cursor) == (latencies[2990:].tolist(), 3000)
+        assert collector.tbt_samples_since(3000, 2048) == ([], [], 3000)
