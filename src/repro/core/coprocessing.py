@@ -20,7 +20,8 @@ every prefix's makespan in one pass.  Running totals are formed with
 cumulative sums seeded by the initial all-xPU total, which reproduces the
 original iterative ``-=``/``+=`` accumulation bit-for-bit — serving-stack
 exact pricing (and the golden snapshots) depend on that equivalence, which
-:func:`assign_experts_reference` exists to pin down.
+the property tests pin against the iterative loop kept in
+``tests/core/oracles.py``.
 """
 
 from __future__ import annotations
@@ -378,63 +379,6 @@ def _expand_groups(
     for g, members in enumerate(plan.units):
         target = pim_experts if g in moved else xpu_experts
         target.extend(members)
-    return ExpertAssignment(
-        xpu_experts=tuple(sorted(xpu_experts)),
-        pim_experts=tuple(sorted(pim_experts)),
-        xpu_time_s=best_xpu,
-        pim_time_s=best_pim,
-    )
-
-
-def assign_experts_reference(
-    token_counts: np.ndarray | Sequence[int],
-    lookup: ExpertTimeLookup,
-    groups: Sequence[Sequence[int]] | None = None,
-) -> ExpertAssignment:
-    """The pre-vectorization iterative greedy, kept as a property-test oracle.
-
-    Property tests assert :func:`assign_experts` reproduces this loop's
-    chosen sets and accumulated times bit-for-bit; it is not used on any
-    serving path.
-    """
-    counts = np.asarray(token_counts, dtype=np.int64)
-    if counts.ndim != 1:
-        raise ConfigError("token_counts must be one-dimensional")
-    if (counts < 0).any():
-        raise ConfigError("token counts must be non-negative")
-    units = _group_structure(counts.size, groups)
-
-    def group_tokens(group: tuple[int, ...]) -> int:
-        return int(counts[list(group)].sum())
-
-    def group_time(group: tuple[int, ...], on_pim: bool) -> float:
-        time = 0.0
-        for index in group:
-            tokens = int(counts[index])
-            if tokens == 0:
-                continue
-            time += lookup.pim_time(tokens) if on_pim else lookup.xpu_time(tokens)
-        return time
-
-    order = sorted(range(len(units)), key=lambda g: group_tokens(units[g]))
-    xpu_total = sum(group_time(group, on_pim=False) for group in units)
-    pim_total = 0.0
-    on_pim: set[int] = set()
-    best = (max(xpu_total, pim_total), frozenset(on_pim), xpu_total, pim_total)
-    for g in order:
-        xpu_total -= group_time(units[g], on_pim=False)
-        pim_total += group_time(units[g], on_pim=True)
-        on_pim.add(g)
-        makespan = max(xpu_total, pim_total)
-        if makespan < best[0]:
-            best = (makespan, frozenset(on_pim), xpu_total, pim_total)
-
-    _, chosen, best_xpu, best_pim = best
-    xpu_experts: list[int] = []
-    pim_experts: list[int] = []
-    for g, group in enumerate(units):
-        target = pim_experts if g in chosen else xpu_experts
-        target.extend(group)
     return ExpertAssignment(
         xpu_experts=tuple(sorted(xpu_experts)),
         pim_experts=tuple(sorted(pim_experts)),

@@ -261,10 +261,12 @@ class StageExecutor:
         self._comm_cache: dict[int, tuple[float, float]] = {}
         self._expected_counts_cache: dict[int, np.ndarray] = {}
         # Count-indexed expert price lookup tables for the decode-run fast
-        # path, keyed by the routed-token bound (batch * top_k).  A LUT
-        # entry depends only on its own count, so indexing a full-range
-        # table yields the same floats as building one per run.
-        self._run_lut_cache: dict[int, tuple] = {}
+        # path over counts 0..bound, grown by doubling when a run's
+        # routed-token bound (batch * top_k) exceeds them.  A LUT entry
+        # depends only on its own count, so indexing a larger table yields
+        # the same floats as building one per run.
+        self._run_lut_bound = -1
+        self._run_lut: tuple = ()
         # Scalar per-token-count expert prices — the runtime lookup table of
         # Section V-B extended with energies.  Decode-stage routing repeats
         # the same small counts constantly, so small expert sets price from
@@ -501,23 +503,25 @@ class StageExecutor:
             self._router.route_batch(pricing.total_tokens, n_committed)
 
     def _run_luts(self, max_count: int) -> tuple:
-        """Count-indexed expert price LUTs over ``0..max_count`` (cached).
+        """Count-indexed expert price LUTs covering ``0..max_count``.
 
         GPU/HETERO executors get ``(time, dram, compute)``; Duplex-style
-        two-unit executors get ``(tx, tp, dx, dp, cx, cp)``.  Each LUT
-        entry is a pure function of its own count, so the cached
-        full-range table indexes to the same floats a per-run table
-        bounded by that run's maximum count would.
+        two-unit executors get ``(tx, tp, dx, dp, cx, cp)``.  One table
+        per executor, rebuilt at double its bound (at least
+        ``max_count``) when a run outgrows it.  Each LUT entry is a pure
+        function of its own count, so the grown table indexes to the same
+        floats a table bounded by this run's maximum count would.
         """
-        luts = self._run_lut_cache.get(max_count)
-        if luts is not None:
-            return luts
-        lut_counts = np.arange(max_count + 1, dtype=np.int64)
+        if max_count <= self._run_lut_bound:
+            return self._run_lut
+        bound = max(max_count, 2 * self._run_lut_bound)
+        lut_counts = np.arange(bound + 1, dtype=np.int64)
         idle = lut_counts == 0
         fl, brr, bww = self.math.expert_ffn_arrays(
             lut_counts, self._expert_fraction, validate=False, idle=idle
         )
         system = self.system
+        luts: tuple
         if system.kind is SystemKind.GPU or system.kind is SystemKind.HETERO:
             unit = self._xpu if system.kind is SystemKind.GPU else self._pim
             assert unit is not None
@@ -536,7 +540,8 @@ class StageExecutor:
                 self._xpu.compute_energies(fl),
                 self._pim.compute_energies(fl),
             )
-        self._run_lut_cache[max_count] = luts
+        self._run_lut_bound = bound
+        self._run_lut = luts
         return luts
 
     def _price_moe_run(

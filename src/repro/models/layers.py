@@ -332,39 +332,3 @@ class LayerMath:
     def _check_tokens(n_tokens: float) -> None:
         if n_tokens < 0:
             raise ConfigError("token count must be non-negative")
-
-
-def attention_prefill_reference(
-    math: LayerMath,
-    prefill_lengths: Iterable[int],
-    kv_fraction: float = 1.0,
-    context_lengths: Iterable[int] | None = None,
-) -> Operator:
-    """The pre-vectorization scalar prefill-attention loop, kept as an oracle.
-
-    Property tests assert :meth:`LayerMath.attention_prefill` reproduces this
-    accumulation bit-for-bit; it is not used on any serving path.
-    """
-    m = math.model
-    lengths = list(prefill_lengths)
-    contexts = [0] * len(lengths) if context_lengths is None else list(context_lengths)
-    if len(contexts) != len(lengths):
-        raise ConfigError("context_lengths must parallel prefill_lengths")
-    flops = 0.0
-    bytes_read = 0.0
-    bytes_written = 0.0
-    for length, past in zip(lengths, contexts, strict=True):
-        if length < 0 or past < 0:
-            raise ConfigError("prefill lengths must be non-negative")
-        if length == 0:
-            continue
-        causal_scores = past * length + 0.5 * length * length
-        flops += 4.0 * m.n_heads * m.d_head * causal_scores * kv_fraction
-        flops += SOFTMAX_FLOPS_PER_SCORE * m.n_heads * causal_scores * kv_fraction
-        q_bytes = length * m.n_heads * m.d_head * m.dtype_bytes * kv_fraction
-        kv_bytes = (past + length) * m.kv_bytes_per_token_per_layer * kv_fraction
-        bytes_read += q_bytes + kv_bytes
-        bytes_written += q_bytes
-    return Operator(
-        "attention_prefill", OpCategory.ATTENTION_PREFILL, flops, bytes_read, bytes_written
-    )

@@ -543,7 +543,10 @@ class ServingEngine:
         self.executor = executor
         self.columnar = columnar
         self._steady_capable = hasattr(scheduler, "steady_run_threshold")
-        self._last_latency_s = 0.0
+        #: Unscaled latency of the last decode-only stage: sizes a run's
+        #: pre-truncation estimate (runs start outside straggler windows,
+        #: and a prefill stage's latency says nothing about decode stages).
+        self._last_decode_latency_s = 0.0
         self.metrics = metrics if metrics is not None else MetricsCollector()
         self.label = label
         self.record_idle = record_idle
@@ -640,12 +643,13 @@ class ServingEngine:
             self._record_prefix_admissions()
         result = self.executor.run_stage(workload)
         latency_s = result.latency_s
+        if not prefilling:
+            self._last_decode_latency_s = latency_s
         if self.fault_profile is not None:
             # Straggler windows stretch wall-clock, not energy: a
             # throttled device produces the same tokens for the same
             # joules, just later.
             latency_s *= self.fault_profile.scale_at(self.now_s)
-        self._last_latency_s = latency_s
         finished = scheduler.complete_stage(latency_s)
         self.stages += 1
         first_tokens = [r for r in prefilling if r.state is not RequestState.PREFILLING]
@@ -763,7 +767,9 @@ class ServingEngine:
         scalar-wise: the caps below guarantee a run never straddles the
         warm-up gate, the stage budget, the first in-batch completion, or
         (via ``horizon_s`` / ``sim_time_s``) the driving loop's stopping
-        rules.
+        rules.  A run is priced only when its first stage starts before
+        the threshold, and every priced run commits, down to a single
+        stage (the scalar stage bit for bit).
         """
         if (
             not self.columnar
@@ -784,6 +790,7 @@ class ServingEngine:
         threshold = scheduler.steady_run_threshold()
         if threshold is None:
             return 0
+        now = self.now_s
         profile = self.fault_profile
         if profile is not None:
             # Inside a straggler window every stage latency is scaled —
@@ -791,9 +798,16 @@ class ServingEngine:
             # path stands down.  Outside a window, cap the run at the
             # next window edge; a quiescent profile (no windows) costs
             # exactly these two calls and disarms nothing.
-            if profile.scale_at(self.now_s) != 1.0:
+            if profile.scale_at(now) != 1.0:
                 return 0
-            threshold = min(threshold, profile.next_change_s(self.now_s))
+            threshold = min(threshold, profile.next_change_s(now))
+        if horizon_s is not None:
+            threshold = min(threshold, horizon_s)
+        if threshold <= now:
+            # An arrival or landing is already due: the scalar stage admits
+            # it.  Past this check the first stage starts before the
+            # threshold, so every priced run commits at least one stage.
+            return 0
         cap = min(scheduler.steady_min_remaining(), _RUN_CAP)
         stages = self.stages
         warmup = limits.warmup_stages
@@ -805,17 +819,12 @@ class ServingEngine:
                 limits.max_stages - self.measured,
                 warmup + limits.max_stages - stages,
             )
-        now = self.now_s
-        if horizon_s is not None:
-            threshold = min(threshold, horizon_s)
-        if threshold != float("inf") and self._last_latency_s > 0.0:
+        if threshold != float("inf") and self._last_decode_latency_s > 0.0:
             # Cheap pre-truncation so a near-threshold attempt does not
             # price stages that cannot fit (any cap is exact — this only
             # sizes the batch, the searchsorted below decides membership).
-            estimate = int((threshold - now) / self._last_latency_s) + 2
+            estimate = int((threshold - now) / self._last_decode_latency_s) + 2
             cap = min(cap, estimate)
-        if cap < 2:
-            return 0
         pricing = price_run(scheduler.steady_context_base(), cap)
         if pricing is None:
             return 0
@@ -832,16 +841,13 @@ class ServingEngine:
             # run() stops after the first stage whose *end* reaches the
             # simulated-time limit — that stage itself still executes.
             n = min(n, int(np.searchsorted(boundaries[1:], sim_time_s, side="left")) + 1)
-        if n < 2:
-            self.executor.rewind_decode_run(pricing, 0)
-            return 0
         if n < cap:
             self.executor.rewind_decode_run(pricing, n)
         final_now = float(boundaries[n])
         decode_tokens = len(scheduler.running)
         finished = scheduler.commit_steady_run(n, final_now)
         self.stages += n
-        self._last_latency_s = float(pricing.latencies[n - 1])
+        self._last_decode_latency_s = float(pricing.latencies[n - 1])
         # No straddling: the whole run is measured, or none of it is.
         in_window = stages >= warmup
         if in_window:

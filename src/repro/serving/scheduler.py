@@ -104,11 +104,13 @@ class ContinuousBatchingScheduler:
         self._stage_chunks: dict[int, int] = {}
         self._stage_decoding: list[Request] = []
         self._stage_prefilling: list[Request] = []
-        # Steady-decode fast path: while the batch membership is unchanged
-        # and everything decodes, the next stage's composition is exactly
-        # the previous context vector plus one — no re-partitioning, no
-        # per-request array rebuild.  Any admission, completion, handoff,
-        # or prefill invalidates it.
+        # Steady-decode fast path: while everything in the batch decodes,
+        # the next stage's composition is exactly the previous context
+        # vector plus one — no re-partitioning, no per-request array
+        # rebuild.  A finished prefill or a completion re-derives it from
+        # the survivors (when they all decode); an admission, a resume
+        # landing, a preemption, a release, or a request still prefilling
+        # invalidates it.
         self._steady = False
         self._steady_ctx: np.ndarray | None = None
         #: Struct-of-arrays mirror of the in-flight batch (columnar core).
@@ -137,9 +139,10 @@ class ContinuousBatchingScheduler:
             self.admit()
         self._stage_chunks = {}
         if self._steady and self._steady_ctx is not None and self.running:
-            # Same membership as the last stage, all decoding: contexts are
-            # the previous vector plus one token each (bit-identical to the
-            # rebuilt array — complete_stage advanced every request by one).
+            # Nothing joined since the last stage and everything decodes:
+            # contexts are the carried vector plus one token each
+            # (bit-identical to the rebuilt array — the carried vector is
+            # every request's context_len - 1).
             decode_ctx = self._steady_ctx + 1
             self._steady_ctx = decode_ctx
             self._stage_decoding = self.running
@@ -523,6 +526,7 @@ class ContinuousBatchingScheduler:
         finished: list[Request] = []
         still_running: list[Request] = []
         chunks = self._stage_chunks
+        still_prefilling = False
         for request in self.running:
             state = request.state
             if state is RequestState.DECODING:
@@ -543,6 +547,7 @@ class ContinuousBatchingScheduler:
                 chunk = chunks.get(request.request_id)
                 if chunk is None:
                     still_running.append(request)  # waited out this stage's budget
+                    still_prefilling = True
                     continue
                 request.advance_prefill(chunk, now_s)
                 if (
@@ -560,6 +565,8 @@ class ContinuousBatchingScheduler:
                 self._committed_tokens -= request.unique_seq_len
             else:
                 still_running.append(request)
+                if request.state is RequestState.PREFILLING:
+                    still_prefilling = True  # chunked prefill continues
         self.running = still_running
         self._stage_chunks = {}
         if finished:
@@ -571,8 +578,18 @@ class ContinuousBatchingScheduler:
             if self.paging is not None:
                 for request in finished:
                     self.paging.on_release(request)
-            self._steady = False
-            self._steady_ctx = None
+        if finished or chunks:
+            # The composition changed; if every survivor decodes, the next
+            # stage is steady again.  Its contexts are what build_stage would
+            # rebuild, minus the +1 its fast path adds.
+            if still_running and not still_prefilling:
+                self._steady = True
+                self._steady_ctx = np.array(
+                    [r.context_len - 1 for r in still_running], dtype=np.int64
+                )
+            else:
+                self._steady = False
+                self._steady_ctx = None
         return finished
 
     # ------------------------------------------------------------------
@@ -593,7 +610,10 @@ class ContinuousBatchingScheduler:
         time-invariant: a full batch stays full and an over-capacity
         parked head stays parked until the first completion — and runs
         are capped at ``min_remaining`` so completions only ever land on
-        a run's final stage.
+        a run's final stage.  The steady state survives finished prefills
+        and completions (see :meth:`complete_stage`), so a run can start
+        at the first stage after either; a threshold at or before
+        ``now_s`` means an arrival or landing is already due.
         """
         if not self._steady or self._steady_ctx is None or not self.running or self.waiting:
             return None
@@ -638,7 +658,8 @@ class ContinuousBatchingScheduler:
         jumps to ``final_now_s`` (the engine's exact cumulative-latency
         endpoint), and requests whose budget ran out finish — in batch
         order, exactly as the scalar loop would have finished them on the
-        run's last stage.
+        run's last stage.  The survivors all decode, so the batch stays
+        steady with their contexts ``base + n_stages``, in batch order.
         """
         ctx = self._steady_ctx
         assert ctx is not None
@@ -649,7 +670,8 @@ class ContinuousBatchingScheduler:
         self.table.advance_decode(n_stages)
         finished: list[Request] = []
         still_running: list[Request] = []
-        for request in self.running:
+        running = self.running
+        for request in running:
             request.context_len += n_stages
             generated = request.tokens_generated + n_stages
             request.tokens_generated = generated
@@ -660,6 +682,7 @@ class ContinuousBatchingScheduler:
             else:
                 still_running.append(request)
         self.running = still_running
+        self._steady_ctx = ctx + n_stages
         if finished:
             for request in finished:
                 self.table.free(request.request_id)
@@ -668,10 +691,12 @@ class ContinuousBatchingScheduler:
             if self.paging is not None:
                 for request in finished:
                     self.paging.on_release(request)
-            self._steady = False
-            self._steady_ctx = None
-        else:
-            self._steady_ctx = ctx + n_stages
+            if still_running:
+                survivors = [r.state is not RequestState.FINISHED for r in running]
+                self._steady_ctx = self._steady_ctx[survivors]
+            else:
+                self._steady = False
+                self._steady_ctx = None
         return finished
 
     def uncommit(self, request: Request) -> None:

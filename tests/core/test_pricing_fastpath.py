@@ -2,8 +2,9 @@
 
 The golden snapshots (tests/golden) pin the end-to-end serving stack
 byte-for-byte; these tests pin the *mechanism* — every vectorized pricing
-primitive must reproduce its retained scalar reference bit-for-bit, for
-randomized inputs far beyond what the goldens exercise:
+primitive must reproduce its scalar reference (the ``*_reference`` loops
+live in ``oracles.py`` beside this file) bit-for-bit, for randomized
+inputs far beyond what the goldens exercise:
 
 * :meth:`LayerMath.attention_prefill` vs :func:`attention_prefill_reference`
   (the pre-vectorization per-request loop);
@@ -34,7 +35,6 @@ from repro.core.coprocessing import (  # noqa: E402
     SpaceGroupPlan,
     _accumulate_groups,
     assign_experts,
-    assign_experts_reference,
     round_robin_space_groups,
 )
 from repro.core.executor import StageExecutor, StageWorkload  # noqa: E402
@@ -47,7 +47,9 @@ from repro.core.system import (  # noqa: E402
 )
 from repro.hardware.specs import h100_xpu, logic_pim_unit  # noqa: E402
 from repro.models.config import glam, mixtral  # noqa: E402
-from repro.models.layers import LayerMath, attention_prefill_reference  # noqa: E402
+from repro.models.layers import LayerMath  # noqa: E402
+
+from oracles import assign_experts_reference, attention_prefill_reference  # noqa: E402
 
 MODELS = {"mixtral": mixtral(), "glam": glam()}
 FRACTIONS = (1.0, 0.5, 0.25, 1.0 / 3.0, 0.125)
@@ -264,3 +266,31 @@ def test_truncated_run_rewinds_gating_rng(name, committed):
     for k in range(1, committed + 1):
         scalar_exec.run_stage(StageWorkload(decode_context_lengths=ctx + k))
     assert run_exec._router.state_snapshot() == scalar_exec._router.state_snapshot()
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
+def test_grown_expert_luts_equal_fresh_tables(name):
+    # One executor prices ever wider batches, so its single LUT grows
+    # (exactly to 6, by doubling to 12, exactly to 64 routed tokens);
+    # every entry must equal a table built fresh for that bound, and the
+    # last run must price as it would on a fresh executor.
+    system, model = ORACLE_SYSTEMS[name]
+    grown = StageExecutor(system, model, seed=7)
+    for batch in (3, 5, 32):
+        ctx = _contexts(batch)
+        fresh = StageExecutor(system, model, seed=7)
+        fresh._router.state_restore(grown._router.state_snapshot())
+        pricing = grown.price_decode_run(ctx, RUN_STAGES)
+        expected = fresh.price_decode_run(ctx, RUN_STAGES)
+        bound = batch * model.top_k
+        fresh_luts = StageExecutor(system, model)._run_luts(bound)
+        assert grown._run_lut_bound >= bound
+        for lut, fresh_lut in zip(grown._run_lut, fresh_luts, strict=True):
+            assert np.array_equal(lut[: bound + 1], fresh_lut)
+        assert np.array_equal(pricing.latencies, expected.latencies)
+        for ours, theirs in zip(
+            pricing.dram + pricing.compute, expected.dram + expected.compute, strict=True
+        ):
+            assert np.array_equal(ours, theirs)
+        assert pricing.comm_energy_j == expected.comm_energy_j
+    assert grown._run_lut_bound == 32 * model.top_k

@@ -1,6 +1,6 @@
 """Columnar engine core: unit tests and the columnar↔scalar oracle suite.
 
-Two layers (tier 1 — see TESTING.md):
+Three layers (tier 1 — see TESTING.md):
 
 * unit tests for the struct-of-arrays :class:`RequestTable` (slot
   recycling, growth, lazy refresh, vectorized advance) and the
@@ -12,11 +12,20 @@ Two layers (tier 1 — see TESTING.md):
   ledgers, same virtual clocks, and an identical ``ServingReport`` —
   across all 8 invariant-suite configurations, plus both paging
   policies under heavy preemption.  Exact equality is deliberately
-  stronger than the issue's 1e-9 tolerance: the fast path is built from
-  bit-stable primitives, so any drift is a bug.
+  stronger than a float tolerance: the fast path is built from
+  bit-stable primitives, so any drift is a bug;
+* the steady state the scheduler carries across finished prefills,
+  completions and runs, audited against the object layer on the same
+  configurations (both oracle arms share the scheduler, so the oracle
+  alone cannot see a wrong carried context), and regression tests that
+  no run is priced unless it commits.
 """
 
 from __future__ import annotations
+
+from collections import Counter
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 
@@ -25,9 +34,17 @@ from hypothesis import given, strategies as st  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+from repro.core.executor import StageExecutor  # noqa: E402
+from repro.core.system import duplex_system  # noqa: E402
 from repro.errors import ConfigError, SchedulingError  # noqa: E402
+from repro.models.config import mixtral  # noqa: E402
 from repro.serving.columnar import EventClock, RequestTable  # noqa: E402
-from repro.serving.request import Request  # noqa: E402
+from repro.serving.engine import ServingEngine, SimulationLimits  # noqa: E402
+from repro.serving.generator import QueueSource, WorkloadSpec  # noqa: E402
+from repro.serving.paging import EvictionPolicy, PagingConfig  # noqa: E402
+from repro.serving.request import Request, RequestState  # noqa: E402
+from repro.serving.scheduler import ContinuousBatchingScheduler  # noqa: E402
+from repro.serving.simulator import ServingSimulator  # noqa: E402
 
 from test_invariants import CONFIGURATIONS, spec_strategy  # noqa: E402
 
@@ -211,6 +228,7 @@ def _trajectory(report, engines):
     }
 
 
+@pytest.mark.invariants
 @pytest.mark.parametrize("config", sorted(CONFIGURATIONS))
 @given(spec_params=spec_strategy, seed=st.integers(min_value=0, max_value=2**16))
 def test_columnar_matches_scalar_oracle(config, spec_params, seed):
@@ -221,35 +239,187 @@ def test_columnar_matches_scalar_oracle(config, spec_params, seed):
     )
 
 
+MODEL = mixtral()
+SYSTEM = duplex_system(MODEL, co_processing=True, expert_tensor_parallel=True)
+
+
+def _run_paging_pressure(policy: str, columnar: bool):
+    """Long prompts at 40 QPS into a 64-slot paged engine: thousands of
+    evictions and resumes in 600 stages."""
+    spec = WorkloadSpec(lin_mean=30000, lout_mean=64, lin_cv=0.3, lout_cv=0.3, qps=40.0)
+    sim = ServingSimulator(
+        SYSTEM, MODEL, spec, max_batch=64, seed=0,
+        paging=PagingConfig(policy=EvictionPolicy(policy)), columnar=columnar,
+    )
+    report = sim.run(SimulationLimits(max_stages=600, warmup_stages=20))
+    stats = sim.paging.manager.stats
+    return report, sim.engine, (stats.evictions, stats.resumes)
+
+
 @pytest.mark.paging
 @pytest.mark.parametrize("policy", ["migrate", "recompute"])
 def test_columnar_matches_scalar_under_paging_pressure(policy):
     """Heavy live preemption (thousands of evictions) stays bit-exact."""
-    from repro.core.system import duplex_system
-    from repro.models.config import mixtral
-    from repro.serving.generator import WorkloadSpec
-    from repro.serving.paging import EvictionPolicy, PagingConfig
-    from repro.serving.simulator import ServingSimulator, SimulationLimits
-
-    model = mixtral()
-    system = duplex_system(model, co_processing=True, expert_tensor_parallel=True)
-    spec = WorkloadSpec(lin_mean=30000, lout_mean=64, lin_cv=0.3, lout_cv=0.3, qps=40.0)
-    limits = SimulationLimits(max_stages=600, warmup_stages=20)
-    config = PagingConfig(policy=EvictionPolicy(policy))
-
-    def run(columnar: bool):
-        sim = ServingSimulator(
-            system, model, spec, max_batch=64, seed=0, paging=config, columnar=columnar
-        )
-        report = sim.run(limits)
-        stats = sim.paging.manager.stats
-        return report, sim.engine, (stats.evictions, stats.resumes)
-
-    fast_report, fast_engine, fast_stats = run(True)
-    oracle_report, oracle_engine, oracle_stats = run(False)
+    fast_report, fast_engine, fast_stats = _run_paging_pressure(policy, columnar=True)
+    oracle_report, oracle_engine, oracle_stats = _run_paging_pressure(policy, columnar=False)
     assert fast_stats == oracle_stats
     assert fast_stats[0] > 0, "the workload must actually exercise preemption"
     assert fast_report == oracle_report
     assert _trajectory(fast_report, [fast_engine]) == _trajectory(
         oracle_report, [oracle_engine]
     )
+
+
+# ----------------------------------------------------------------------
+# the carried steady state
+# ----------------------------------------------------------------------
+def _steady_matches_objects(scheduler) -> bool:
+    """Audit one scheduler; True when it is steady (and the audit ran)."""
+    if not scheduler._steady:
+        return False
+    running = scheduler.running
+    assert all(r.state is RequestState.DECODING for r in running)
+    assert (scheduler.steady_context_base() + 1).tolist() == [r.context_len for r in running]
+    return True
+
+
+@contextmanager
+def _auditing_steady_state():
+    """Audit the steady state after every stage completion and run commit.
+
+    Yields a counter: ``carried`` counts audits right after a finished
+    prefill or a completion, the states the scheduler re-derives.
+    """
+    complete = ContinuousBatchingScheduler.complete_stage
+    commit = ContinuousBatchingScheduler.commit_steady_run
+    audits: Counter[str] = Counter()
+
+    def complete_stage(self, latency_s):
+        had_prefill = bool(self.pending_chunks)
+        finished = complete(self, latency_s)
+        if _steady_matches_objects(self) and (finished or had_prefill):
+            audits["carried"] += 1
+        return finished
+
+    def commit_steady_run(self, n_stages, final_now_s):
+        finished = commit(self, n_stages, final_now_s)
+        if _steady_matches_objects(self) and finished:
+            audits["carried"] += 1
+        return finished
+
+    with mock.patch.object(
+        ContinuousBatchingScheduler, "complete_stage", complete_stage
+    ), mock.patch.object(ContinuousBatchingScheduler, "commit_steady_run", commit_steady_run):
+        yield audits
+
+
+@pytest.mark.invariants
+@pytest.mark.parametrize("config", sorted(CONFIGURATIONS))
+@given(spec_params=spec_strategy, seed=st.integers(min_value=0, max_value=2**16))
+def test_carried_steady_context_matches_object_layer(config, spec_params, seed):
+    with _auditing_steady_state():
+        _run_config(config, spec_params, seed, columnar=True)
+
+
+@pytest.mark.paging
+@pytest.mark.parametrize("policy", ["migrate", "recompute"])
+def test_carried_steady_context_matches_object_layer_under_paging_pressure(policy):
+    with _auditing_steady_state() as audits:
+        _run_paging_pressure(policy, columnar=True)
+    assert audits["carried"] > 0
+
+
+# ----------------------------------------------------------------------
+# no run is priced unless it commits
+# ----------------------------------------------------------------------
+def _steady_engine():
+    """An open-loop engine whose three requests have prefilled and decoded
+    one stage: steady, with nothing left to arrive."""
+    source = QueueSource()
+    for rid in range(3):
+        source.push(Request(request_id=rid, arrival_time_s=0.0, input_len=64, output_len=40))
+    scheduler = ContinuousBatchingScheduler(source, max_batch=4)
+    engine = ServingEngine(scheduler, StageExecutor(SYSTEM, MODEL, seed=0))
+    limits = SimulationLimits(max_stages=200, warmup_stages=0)
+    assert engine.step(limits) and engine.step(limits)
+    assert scheduler.steady_run_threshold() == float("inf")
+    return engine, source, limits
+
+
+def _count_pricing(executor) -> list[int]:
+    """Record the stage count of every ``price_decode_run`` call."""
+    priced: list[int] = []
+    price = executor.price_decode_run
+
+    def recording(context_lengths, n_stages):
+        priced.append(n_stages)
+        return price(context_lengths, n_stages)
+
+    executor.price_decode_run = recording
+    return priced
+
+
+def test_due_arrival_is_admitted_without_pricing_a_run():
+    engine, source, limits = _steady_engine()
+    source.push(
+        Request(request_id=3, arrival_time_s=engine.now_s, input_len=64, output_len=40)
+    )
+    priced = _count_pricing(engine.executor)
+    assert engine._attempt_steady_run(limits) == 0
+    assert priced == []
+    assert engine.step(limits)
+    assert engine.scheduler.admitted_log == [0, 1, 2, 3]
+
+
+def test_one_stage_run_equals_the_scalar_stage():
+    run_engine, run_source, limits = _steady_engine()
+    step_engine, step_source, _ = _steady_engine()
+    arrival = run_engine.now_s + 1e-6  # only the first stage starts before it
+    for source in (run_source, step_source):
+        source.push(Request(request_id=3, arrival_time_s=arrival, input_len=64, output_len=40))
+    priced = _count_pricing(run_engine.executor)
+    assert run_engine._attempt_steady_run(limits) == 1
+    # Priced past the arrival, then rewound to the one committed stage.
+    assert len(priced) == 1 and priced[0] > 1
+    assert step_engine.step(limits)
+
+    def state(engine):
+        return (
+            engine.stages,
+            engine.measured,
+            engine.now_s,
+            engine.metrics.report(),
+            engine.executor._router.state_snapshot(),
+            [(r.request_id, r.context_len, r.tokens_generated) for r in engine.scheduler.running],
+        )
+
+    assert state(run_engine) == state(step_engine)
+    run_engine.drain(limits)
+    step_engine.drain(limits)
+    assert state(run_engine) == state(step_engine)
+    assert run_engine.finished_ids == step_engine.finished_ids
+
+
+def test_every_priced_run_commits_on_an_open_loop_run():
+    """Fig. 13 shape: long prompts arriving open-loop into a wide batch."""
+    sim = ServingSimulator(
+        SYSTEM, MODEL, WorkloadSpec(lin_mean=4096, lout_mean=128, qps=8.0),
+        max_batch=128, seed=0,
+    )
+    events: list[str] = []
+    price, commit = sim.executor.price_decode_run, sim.scheduler.commit_steady_run
+
+    def priced(context_lengths, n_stages):
+        events.append("price")
+        return price(context_lengths, n_stages)
+
+    def committed(n_stages, final_now_s):
+        events.append("commit")
+        return commit(n_stages, final_now_s)
+
+    sim.executor.price_decode_run = priced
+    sim.scheduler.commit_steady_run = committed
+    sim.run(SimulationLimits(max_stages=1500, warmup_stages=20))
+    runs = events.count("price")
+    assert runs >= 40
+    assert events == ["price", "commit"] * runs
