@@ -5,7 +5,9 @@ simulation window) and serializes the resulting rows to canonical JSON.
 The serialized text must match the snapshot under ``tests/golden/``
 byte-for-byte: any behavioural drift in the serving core — scheduler
 ordering, RNG consumption, metric accounting, float summation order —
-shows up as a diff, not as a silently shifted percentile.
+shows up as a diff, not as a silently shifted percentile.  The
+``fleet_recovery`` case does the same for whole fleet reports: routing,
+crash harvest and retry, MIGRATE adoption, and elastic scaling.
 
 Workflow:
 
@@ -27,8 +29,22 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.system import duplex_system
 from repro.experiments import fig11, fig12, fig13, fig16
+from repro.models.config import mixtral
+from repro.serving.autoscaler import ElasticFleetSimulator, QueueDepthPolicy
+from repro.serving.cluster import (
+    ClusterSimulator,
+    LeastOutstandingTokensRouter,
+    MonolithicReplicaSpec,
+    ShardedReplicaSpec,
+    SplitReplicaSpec,
+)
+from repro.serving.faults import FaultConfig, FaultInjector, RetryPolicy
+from repro.serving.paging import PagingConfig
+from repro.serving.scenarios import get_scenario
 from repro.serving.simulator import SimulationLimits
+from repro.serving.trace import TraceRecord, TraceReplayGenerator
 
 GOLDEN_DIR = Path(__file__).parent
 
@@ -82,11 +98,88 @@ def _fig16_tiny():
     )
 
 
+FLEET_LIMITS = SimulationLimits(max_stages=60_000, warmup_stages=0)
+
+
+def _burst(n: int, input_len: int, output_len: int, spacing_s: float) -> TraceReplayGenerator:
+    return TraceReplayGenerator(
+        [
+            TraceRecord(arrival_s=i * spacing_s, input_len=input_len, output_len=output_len)
+            for i in range(n)
+        ]
+    )
+
+
+def _fleet_recovery():
+    """Three fleet runs covering every replica kind, crash recovery, and
+    autoscaling:
+
+    * a monolithic + sharded + split fleet under paging, each replica
+      crashing once and repairing in place, with retries (3 crashes, 22
+      retries);
+    * two paged replicas of long-context requests where the crashed
+      replica's MIGRATE-parked victim is adopted by its peer (one
+      ``migrate_recoveries``);
+    * an elastic fleet of split replicas scaling out to 4 under bursty
+      chat.
+    """
+    model = mixtral()
+    system = duplex_system(model, co_processing=True, expert_tensor_parallel=True)
+    mixed = ClusterSimulator(
+        system,
+        model,
+        _burst(60, 2048, 96, 0.02),
+        replicas=(MonolithicReplicaSpec(), ShardedReplicaSpec(tp=2), SplitReplicaSpec()),
+        router=LeastOutstandingTokensRouter(),
+        max_batch=8,
+        seed=1,
+        paging=PagingConfig(),
+        faults=FaultInjector(
+            FaultConfig(
+                crash_times=((0.4, 0), (0.6, 1), (0.8, 2)),
+                crash_mttr_s=0.5,
+                detection_latency_s=0.1,
+            )
+        ),
+        retry=RetryPolicy(max_attempts=4),
+    )
+    adoption = ClusterSimulator(
+        system,
+        model,
+        _burst(24, 150_000, 300, 0.05),
+        n_replicas=2,
+        max_batch=16,
+        seed=1,
+        paging=PagingConfig(),
+        faults=FaultInjector(
+            FaultConfig(crash_times=((5.0, 0),), crash_mttr_s=1.0, detection_latency_s=0.2)
+        ),
+        retry=RetryPolicy(max_attempts=4),
+    )
+    elastic = ElasticFleetSimulator(
+        system,
+        model,
+        get_scenario("bursty-chat").at_qps(30.0).source(seed=1, max_requests=300),
+        policy=QueueDepthPolicy(scale_up_depth=2.0, scale_down_depth=0.25, cooldown_s=1.0),
+        min_replicas=1,
+        max_replicas=4,
+        replica_template=SplitReplicaSpec(),
+        control_interval_s=1.0,
+        provision_delay_s=1.0,
+        warmup_delay_s=1.0,
+        max_batch=8,
+        seed=1,
+        max_requests=300,
+    )
+    return [sim.run(FLEET_LIMITS) for sim in (mixed, adoption, elastic)]
+
+
 CASES = {
     "fig11_throughput": _fig11_tiny,
     "fig12_latency": _fig12_tiny,
     "fig13_qps": _fig13_tiny,
     "fig16_split": _fig16_tiny,
+    "fleet_recovery": _fleet_recovery,
 }
 
 
@@ -119,6 +212,17 @@ def test_golden_report(name: str, update_golden: bool):
         f"{name} drifted from its golden snapshot; if the change is intentional, "
         f"regenerate with `pytest tests/golden --update-golden` and review the diff"
     )
+
+
+def test_fleet_recovery_snapshot_covers_its_paths():
+    """The fleet snapshot exercises what its case claims to cover."""
+    mixed, adoption, elastic = json.loads((GOLDEN_DIR / "fleet_recovery.json").read_text())
+    assert mixed["replica_kinds"] == ["monolithic", "sharded", "split"]
+    assert mixed["fleet"]["faults"]["crashes"] == 3
+    assert mixed["fleet"]["faults"]["retries"] == 22
+    assert adoption["fleet"]["faults"]["migrate_recoveries"] == 1
+    assert elastic["replica_kinds"] == ["split"] * 4
+    assert max(sample["active"] for sample in elastic["fleet_samples"]) == 4
 
 
 def test_same_seed_is_byte_identical_in_process():
