@@ -234,7 +234,7 @@ def bench_sharded_fleet(requests: int, repeats: int) -> float:
             max_requests=requests,
         )
         sim.run(limits)
-        return sum(handle.replica.engine.stages for handle in sim.handles)
+        return sum(engine.stages for engine in sim.engines)
 
     return _best_rate(run, repeats)
 
@@ -346,10 +346,10 @@ def bench_chaos_recovery(requests: int, repeats: int) -> float:
             retry=RetryPolicy(),
         )
         for handle in sim.handles:
-            for engine in handle.replica.engines:
+            for engine in handle.engines:
                 engine.fault_profile = StageTimeProfile(())
         sim.run(limits)
-        return sum(handle.replica.engine.stages for handle in sim.handles)
+        return sum(engine.stages for engine in sim.engines)
 
     return _best_rate(run, repeats)
 

@@ -66,7 +66,7 @@ def run_fleet(policy, initial=None):
         slo_window=32,
     )
     report = sim.run(LIMITS)
-    merged = MetricsCollector.merged([h.replica.metrics for h in sim.handles])
+    merged = MetricsCollector.merged([h.metrics for h in sim.handles])
     return sim, report, merged
 
 

@@ -157,7 +157,7 @@ def _capacity_point(
         slo_window=32,
     )
     report = sim.run(limits)
-    merged = MetricsCollector.merged([h.replica.metrics for h in sim.handles])
+    merged = MetricsCollector.merged([h.metrics for h in sim.handles])
     return CapacityRow(
         scenario=scenario_name,
         policy=policy_key,

@@ -182,7 +182,7 @@ def _chaos_point(
         retry=retry_policy(recovery_key),
     )
     report = sim.run(limits)
-    merged = MetricsCollector.merged([h.replica.metrics for h in sim.handles])
+    merged = MetricsCollector.merged([h.metrics for h in sim.handles])
     fault_stats = report.fleet.faults
     lost = int(fault_stats.get("requests_lost", 0.0))
     t2ft_p99 = _p99_with_lost(merged.t2ft_samples, lost)

@@ -122,17 +122,16 @@ def _fleet_all_to_all_seconds(sim: ClusterSimulator, fleet_tokens: int) -> float
     """
     per_token_costs = []
     for handle in sim.handles:
-        replica = handle.replica
-        executor = getattr(replica, "executor", None)
-        if executor is None:  # split replicas price communication internally
+        if handle.kind == "split":  # split replicas price communication internally
             continue
-        system, model = executor.system, executor.model
+        engine = handle.engines[0]
+        system, model = engine.executor.system, engine.executor.model
         placement = system.placement(model)
         if not placement.moe_uses_all_to_all:
             per_token_costs.append(0.0)
             continue
         group, crosses = placement.moe_all_to_all_group
-        batch = replica.engine.metrics.effective_batch
+        batch = engine.metrics.effective_batch
         local_tokens = max(1, math.ceil(batch * placement.node_batch_fraction))
         moe_bytes = local_tokens * model.top_k * model.hidden * model.dtype_bytes
         collectives = CollectiveModel(system.topology)
@@ -171,7 +170,7 @@ def _sharding_point(
         seed=seed,
     )
     report = sim.run(limits)
-    merged = MetricsCollector.merged([h.replica.metrics for h in sim.handles])
+    merged = MetricsCollector.merged([h.metrics for h in sim.handles])
     samples = list(merged.t2ft_samples)
     t2ft_p99 = float(np.percentile(samples, 99)) if samples else 0.0
     attainment = merged.t2ft_slo_attainment(slo_t2ft_s)

@@ -56,7 +56,6 @@ from repro.serving.cluster import (
     ReplicaSpec,
     ReplicaState,
     Router,
-    _MonolithicReplica,
     replica_spec_devices,
 )
 from repro.serving.columnar import EventClock
@@ -533,15 +532,6 @@ class ElasticFleetSimulator(ClusterSimulator):
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def _advanceable_handles(self) -> list[ManagedReplica]:
-        """Only serving replicas track the fleet clock; booting ones idle
-        with their clocks parked until activation."""
-        return [
-            h
-            for h in self.handles
-            if h.state in (ReplicaState.ACTIVE, ReplicaState.DRAINING)
-        ]
-
     def _expects_new_capacity(self) -> bool:
         # While arrivals are still being routed, the policy can provision
         # replacements at any future control tick — a total outage defers
@@ -579,7 +569,7 @@ class ElasticFleetSimulator(ClusterSimulator):
                     handle.set_state(handle.active_at, ReplicaState.ACTIVE)
                     # The replica's virtual clock starts at activation — it
                     # did not exist (as serving capacity) before.
-                    handle.replica.jump_to(handle.active_at)
+                    handle.jump_to(handle.active_at)
                     if self.faults is not None:
                         # A replacement coming online ends the oldest open
                         # outage (capacity is restored even if the crashed
@@ -596,7 +586,7 @@ class ElasticFleetSimulator(ClusterSimulator):
                 # checker harvested its work; recovery owns it now, and
                 # its frozen clock must not be advanced past the crash.
                 continue
-            handle.replica.drain_until(self._capped(handle, t), limits)
+            handle.driver.drain_until(self._capped(handle, t), limits)
             if not handle.has_work or handle.budget_spent(limits):
                 # Stamped at the control-plane observation instant (the
                 # tick), not the replica's own possibly-overshot stage
@@ -615,9 +605,7 @@ class ElasticFleetSimulator(ClusterSimulator):
     def _starts_warm(self, handle: ManagedReplica) -> bool:
         """Whether a replica beginning to warm takes the warm-start dwell:
         it is monolithic or sharded, and some fleet replica has run a stage."""
-        return isinstance(handle.replica, _MonolithicReplica) and any(
-            engine.stages for h in self.handles for engine in h.replica.engines
-        )
+        return handle.kind != "split" and any(engine.stages for engine in self.engines)
 
     def _scale_up(self, t: float, n: int) -> None:
         for _ in range(n):
@@ -651,7 +639,7 @@ class ElasticFleetSimulator(ClusterSimulator):
         # in-flight work finishes fastest.
         victims = sorted(
             active,
-            key=lambda h: (h.replica.view().outstanding_tokens, -h.index),
+            key=lambda h: (h.view().outstanding_tokens, -h.index),
         )[: min(n, droppable)]
         for handle in victims:
             handle.set_state(t, ReplicaState.DRAINING)
@@ -680,7 +668,7 @@ class ElasticFleetSimulator(ClusterSimulator):
         for handle in self.handles:
             if handle.state is not ReplicaState.ACTIVE:
                 continue
-            metrics = handle.replica.metrics
+            metrics = handle.metrics
             seen_busy, seen_elapsed = self._util_cursors.get(handle.index, (0.0, 0.0))
             busy += metrics.busy_s - seen_busy
             elapsed += metrics.elapsed_s - seen_elapsed
@@ -690,7 +678,7 @@ class ElasticFleetSimulator(ClusterSimulator):
     def _observe_latencies(self) -> None:
         """Pull newly recorded latency samples into the rolling windows."""
         for handle in self.handles:
-            metrics = handle.replica.metrics
+            metrics = handle.metrics
             t2ft = metrics.t2ft_samples
             cursor = self._t2ft_cursors.get(handle.index, 0)
             if len(t2ft) > cursor:
@@ -713,7 +701,7 @@ class ElasticFleetSimulator(ClusterSimulator):
                 # A FAILED replica holds no load: the health checker
                 # harvested its queue and in-flight work at detection.
                 continue
-            view = handle.replica.view()
+            view = handle.view()
             queue_depth += view.queue_depth
             outstanding += view.outstanding_tokens
         window = min(self.rate_window_s, t) if t > 0 else self.rate_window_s
@@ -738,7 +726,7 @@ class ElasticFleetSimulator(ClusterSimulator):
             recent_t2ft_s=tuple(self._t2ft_window),
             recent_tbt_s=tbt_values,
             recent_tbt_weights=tbt_weights,
-            shed_requests=sum(h.replica.rejected_count for h in self.handles),
+            shed_requests=sum(h.rejected_count for h in self.handles),
         )
 
     def _record_fleet_sample(self, t: float, view: FleetView) -> None:
@@ -765,7 +753,6 @@ class ElasticFleetSimulator(ClusterSimulator):
     # ------------------------------------------------------------------
     def _begin_run(self, limits: SimulationLimits) -> None:
         super()._begin_run(limits)
-        self._fleet_samples: list[FleetSample] = []
         self._last_sample_s = 0.0
         self._arrival_times.clear()
         self._t2ft_window.clear()
@@ -785,15 +772,19 @@ class ElasticFleetSimulator(ClusterSimulator):
     def _control_tick(self, t: float, limits: SimulationLimits) -> None:
         self._update_lifecycle(t, limits)
         self._observe_latencies()
-        utilization = self._utilization_since_last()
-        view = self._fleet_view(t, utilization)
-        target = self.policy.target_replicas(view)
-        target = max(self.min_replicas, min(self.max_replicas, target))
-        pool = view.scaling_pool
-        if target > pool:
-            self._scale_up(t, target - pool)
-        elif target < pool:
-            self._scale_down(t, pool - target)
+        view = self._fleet_view(t, self._utilization_since_last())
+        if not self._drain_phase:
+            # No scaling decisions during the final drain (there are no
+            # arrivals left to serve) — but lifecycle still advances so
+            # draining replicas retire, and the time series keeps
+            # recording.
+            target = self.policy.target_replicas(view)
+            target = max(self.min_replicas, min(self.max_replicas, target))
+            pool = view.scaling_pool
+            if target > pool:
+                self._scale_up(t, target - pool)
+            elif target < pool:
+                self._scale_down(t, pool - target)
         # Sample *after* the decision so every transition stamped <= t is
         # reflected by the sample at t (the time series replays exactly
         # against the event log).  A scaling action can only change the
@@ -817,17 +808,8 @@ class ElasticFleetSimulator(ClusterSimulator):
         )
         super()._control_tick(t, limits)  # cadence sample + grid advance
 
-    def _after_drain_slice(self, t: float, limits: SimulationLimits) -> None:
-        # No scaling decisions during the final drain (there are no
-        # arrivals left to serve) — but lifecycle still advances so
-        # draining replicas retire, and the time series keeps recording.
-        self._update_lifecycle(t, limits)
-        self._observe_latencies()
-        self._record_fleet_sample(t, self._fleet_view(t, self._utilization_since_last()))
-        super()._after_drain_slice(t, limits)
-
     def _finish_drain(self, limits: SimulationLimits) -> None:
-        clocks = max((h.replica.now_s for h in self.handles), default=0.0)
+        clocks = max((h.now_s for h in self.handles), default=0.0)
         end = max(clocks, self._last_sample_s)  # keep the series monotone
         for handle in self.handles:
             if handle.state is ReplicaState.DRAINING and (
@@ -842,6 +824,3 @@ class ElasticFleetSimulator(ClusterSimulator):
         self._draining = [h for h in self._draining if h.state is ReplicaState.DRAINING]
         self._observe_latencies()
         self._record_fleet_sample(end, self._fleet_view(end, self._utilization_since_last()))
-
-    def _fleet_sample_series(self) -> tuple[FleetSample, ...]:
-        return tuple(self._fleet_samples)

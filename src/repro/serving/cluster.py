@@ -7,24 +7,28 @@ a scenario source, or a replayed trace) is routed request-by-request onto
 independent serving engines and the per-replica measurements are pooled
 into a fleet-level :class:`~repro.serving.metrics.ServingReport`.
 
-The module is split control-plane / data-plane:
+Every replica is one :class:`ManagedReplica`: one or two serving engines
+behind the inbox the router pushes into, plus an explicit lifecycle.  The
+engines come from a :class:`ReplicaSpec`, and fleets may mix all three
+kinds:
 
-* the **data plane** is the replicas themselves — a
-  :class:`_MonolithicReplica` (one engine) or :class:`_SplitReplica` (a
-  Splitwise-style two-partition deployment), built from a
-  :class:`ReplicaSpec`; fleets may mix both flavours;
-* the **control plane** wraps each data-plane replica in a
-  :class:`ManagedReplica` carrying an explicit lifecycle
-  (``PROVISIONING → WARMING → ACTIVE → DRAINING → RETIRED``, see
-  :class:`ReplicaState`) with a full transition log.  Routers only ever
-  see ACTIVE replicas; DRAINING replicas refuse new admissions while
-  finishing their in-flight requests.
+* monolithic — one engine on one system (the paper's Duplex device);
+* sharded — one engine spanning ``tp * ep`` devices (the paper's TP×EP
+  production layout);
+* split — a Splitwise-style prefill engine handing KV off to a decode
+  engine (Section VIII-A).
+
+The lifecycle (``PROVISIONING → WARMING → ACTIVE → DRAINING → RETIRED``,
+plus ``FAILED``; see :class:`ReplicaState`) keeps a full transition log.
+Routers only ever see ACTIVE replicas; DRAINING replicas refuse new
+admissions while finishing their in-flight requests.
 
 :class:`ClusterSimulator` runs a *fixed* fleet (every replica ACTIVE for
-the whole run — the lifecycle machinery is inert); the elastic fleet
-controller in :mod:`repro.serving.autoscaler` drives the same control
-plane with an :class:`~repro.serving.autoscaler.AutoscalingPolicy` that
-provisions and drains replicas at runtime.
+the whole run, unless a fault injector crashes and repairs them); the
+elastic fleet controller in :mod:`repro.serving.autoscaler` drives the
+same lifecycle with an
+:class:`~repro.serving.autoscaler.AutoscalingPolicy` that provisions and
+drains replicas at runtime.
 
 Routing policies:
 
@@ -33,6 +37,10 @@ Routing policies:
   with the fewest admitted+queued KV tokens wins.
 * :class:`PowerOfTwoChoicesRouter` — sample two replicas, pick the lighter
   (Mitzenmacher's classic trick: nearly least-loaded quality at O(1) cost).
+* :class:`MemoryPressureRouter` — least outstanding tokens, inflated by
+  each replica's resident-KV pressure.
+* :class:`PrefixAffinityRouter` — session-sticky routing that lands a
+  session's turns where their shared prefix is cached.
 
 Time model: replicas advance independently in stage-latency jumps.  Before
 a request is routed at arrival time ``t``, every replica simulates up to
@@ -51,28 +59,23 @@ from __future__ import annotations
 import enum
 import heapq
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.executor import StageExecutor, StageWorkload
+from repro.core.executor import StageWorkload
 from repro.core.system import SystemConfig, default_topology, sharded_system
 from repro.errors import CapacityError, ConfigError, SchedulingError, SimulationError
 from repro.models.config import ModelConfig
-from repro.serving.engine import (
-    KvPagingCoordinator,
-    ServingEngine,
-    SimulationLimits,
-    paged_engine_setup,
-)
+from repro.serving.engine import KvPagingCoordinator, ServingEngine, SimulationLimits
 from repro.serving.faults import FaultInjector, RetryPolicy
 from repro.serving.generator import QueueSource, RequestSource, WorkloadSpec, resolve_source
 from repro.serving.metrics import MetricsCollector, ServingReport
-from repro.serving.paging import EvictionPolicy, PagingConfig, PrefixConfig, PrefixIndex
+from repro.serving.paging import EvictionPolicy, PagingConfig, PrefixConfig
 from repro.serving.policy import SchedulingPolicy
 from repro.serving.request import Request
-from repro.serving.scheduler import ContinuousBatchingScheduler
+from repro.serving.simulator import ServingSimulator
 from repro.serving.split import SplitServingSimulator
 
 
@@ -92,8 +95,11 @@ class ReplicaState(enum.Enum):
       admissions but finishes everything already routed to it.
     * ``FAILED`` — crashed (health-checker verdict): in-flight KV is
       gone, the replica is out of the routing set, and its stranded
-      requests go through failure recovery.  Repairable back to ACTIVE
-      (``crash_mttr_s``) or replaced by the elastic controller.
+      requests go through failure recovery.  Repaired back to ACTIVE
+      after ``crash_mttr_s``; without a repair time it stays FAILED for
+      the rest of the run.  Only :class:`ClusterSimulator` injects
+      faults — the elastic controller takes no fault injector, so it
+      never replaces a crashed replica.
     * ``RETIRED`` — drained empty; permanently out of the fleet.
     """
 
@@ -135,8 +141,9 @@ class ReplicaView:
         queue_depth: requests routed but not yet admitted to the batch.
         outstanding_tokens: worst-case KV tokens admitted or queued.
         now_s: the replica's simulation clock.
-        kind: replica flavour (``monolithic`` / ``split``) for routers
-            that specialise — e.g. send long prompts to split replicas.
+        kind: replica flavour (``monolithic`` / ``sharded`` / ``split``)
+            for routers that specialise — e.g. send long prompts to split
+            replicas.
         state: lifecycle state name; routers only ever receive ACTIVE
             views, but the field makes fleet-membership changes visible
             to routers that track replicas across decisions.
@@ -404,325 +411,33 @@ def replica_spec_devices(
 
 
 # ----------------------------------------------------------------------
-# replicas (data plane)
+# replicas (data plane + lifecycle)
 # ----------------------------------------------------------------------
-class _MonolithicReplica:
-    """One serving engine: inbox + scheduler + executor + metrics."""
-
-    kind = "monolithic"
-
-    def __init__(
-        self,
-        index: int,
-        system: SystemConfig,
-        model: ModelConfig,
-        effective_batch: int,
-        capacity_tokens: int | None,
-        policy: SchedulingPolicy | None,
-        gating_skew: float,
-        seed: int | None,
-        paging: PagingConfig | None = None,
-        worst_case_tokens: int | None = None,
-        prefix: PrefixConfig | None = None,
-    ) -> None:
-        self.index = index
-        self.inbox = QueueSource()
-        self.executor = StageExecutor(system, model, gating_skew=gating_skew, seed=seed)
-        coordinator = None
-        if paging is not None:
-            if worst_case_tokens is None:
-                raise ConfigError("paged replicas need the workload's worst case")
-            effective_batch, capacity_tokens, coordinator = paged_engine_setup(
-                paging, system, model, effective_batch, worst_case_tokens, self.executor
-            )
-        # Each replica owns a private prefix pool: KV never leaves a
-        # device, so dedup is a per-replica affair (the router's job is
-        # landing a session's turns where its prefix already lives).
-        self.prefix_index = PrefixIndex(prefix) if prefix is not None else None
-        self.scheduler = ContinuousBatchingScheduler(
-            self.inbox,
-            effective_batch,
-            capacity_tokens,
-            policy=policy,
-            paging=coordinator,
-            prefix=self.prefix_index,
-        )
-        self.engine = ServingEngine(
-            self.scheduler, self.executor, label=f"{system.name}/replica{index}"
-        )
-        self.engine.metrics.effective_batch = effective_batch
-
-    @property
-    def engines(self) -> tuple[ServingEngine, ...]:
-        return (self.engine,)
-
-    @property
-    def metrics(self) -> MetricsCollector:
-        return self.engine.metrics
-
-    @property
-    def completions(self) -> int:
-        return self.engine.completions
-
-    @property
-    def rejected_count(self) -> int:
-        return len(self.scheduler.rejected)
-
-    @property
-    def now_s(self) -> float:
-        return self.engine.now_s
-
-    @property
-    def in_flight(self) -> int:
-        """Requests routed here and not yet finished (drain tracking).
-
-        Includes requests paged out of the batch (parked on host memory or
-        mid-resume) — they are admitted work the drain must still finish.
-        """
-        return (
-            len(self.inbox)
-            + len(self.scheduler.waiting)
-            + len(self.scheduler.running)
-            + self.scheduler.paged_count
-        )
-
-    def view(self) -> ReplicaView:
-        return ReplicaView(
-            index=self.index,
-            queue_depth=len(self.inbox) + len(self.scheduler.waiting),
-            outstanding_tokens=self.scheduler.outstanding_tokens + self.inbox.queued_tokens,
-            now_s=self.now_s,
-            kind=self.kind,
-            # Shared-prefix pool tokens occupy the same device KV as the
-            # private reservations, so memory-pressure routing sees both
-            # (zero whenever dedup is off).
-            resident_tokens=(
-                self.scheduler.committed_tokens + self.scheduler.prefix_resident_tokens
-            ),
-            capacity_tokens=self.scheduler.capacity_tokens,
-        )
-
-    def harvest_queued(self) -> list[Request]:
-        """Strip and return every routed-but-unadmitted request (handoff)."""
-        queued: list[Request] = []
-        while len(self.inbox):
-            queued.append(self.inbox.take(0.0))
-        queued.extend(self.scheduler.waiting)
-        self.scheduler.waiting.clear()
-        return queued
-
-    def harvest_in_flight(self) -> tuple[list[Request], list[Request], list[tuple[Request, int]]]:
-        """Strip all work off a crashed replica.
-
-        Returns ``(queued, active, parked)``: requests never admitted
-        (nothing lost — free re-route), requests whose device KV died
-        with the replica (admitted, mid-resume, or RECOMPUTE-parked),
-        and MIGRATE-parked victims whose host-side KV survived (adoptable
-        by another paged replica).  Afterwards :attr:`in_flight` is zero
-        and the scheduler's accounting is clean for an in-place repair.
-        """
-        queued = self.harvest_queued()
-        active = list(self.scheduler.running)
-        for request in active:
-            self.scheduler.release(request)
-        parked: list[tuple[Request, int]] = []
-        coordinator = self.scheduler.paging
-        if coordinator is not None:
-            pairs, in_transit = coordinator.abandon_all()
-            for request in in_transit:
-                self.scheduler.uncommit(request)
-            if coordinator.manager.policy is EvictionPolicy.MIGRATE:
-                parked = pairs
-            else:
-                active.extend(request for request, _ in pairs)
-            active.extend(in_transit)
-        if self.prefix_index is not None:
-            # The shared-prefix pool lived in the dead device's KV:
-            # every cached block is gone (the residency high-water mark
-            # survives for the report).
-            self.prefix_index.clear()
-        return queued, active, parked
-
-    def budget_spent(self, limits: SimulationLimits) -> bool:
-        return self.engine.budget_spent(limits)
-
-    def jump_to(self, t: float) -> None:
-        self.engine.jump_to(t)
-
-    def advance_to(self, t: float, limits: SimulationLimits) -> None:
-        self.engine.advance_to(t, limits)
-
-    def drain(self, limits: SimulationLimits) -> None:
-        self.engine.drain(limits)
-
-    def drain_until(self, t: float, limits: SimulationLimits) -> None:
-        self.engine.drain_until(t, limits)
-
-
-class _ShardedReplica(_MonolithicReplica):
-    """A TP x EP sharded deployment: one engine spanning many devices.
-
-    The data plane is a :class:`_MonolithicReplica` whose executor prices
-    the sharded :class:`~repro.core.system.SystemConfig` (tensor-parallel
-    attention, expert-parallel MoE with collectives) — the engine loop is
-    identical; only the per-stage prices and the device footprint differ.
-    """
-
-    kind = "sharded"
-
-    def __init__(self, *args, n_devices: int = 1, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.n_devices = n_devices
-
-
-class _SplitReplica:
-    """A two-partition split deployment behind the cluster router."""
-
-    kind = "split"
-
-    def __init__(
-        self,
-        index: int,
-        model: ModelConfig,
-        max_batch: int,
-        seed: int | None,
-        worst_case_tokens: int,
-    ) -> None:
-        self.index = index
-        self.inbox = QueueSource()
-        self.deployment = SplitServingSimulator(
-            model,
-            self.inbox,
-            max_batch=max_batch,
-            seed=seed,
-            worst_case_tokens=worst_case_tokens,
-        )
-        # Disambiguate engine labels when a fleet hosts several split
-        # replicas (labels key diagnostics and invariant probes).
-        self.deployment.prefill_engine.label = f"Duplex-Split/replica{index}/prefill"
-        self.deployment.decode_engine.label = f"Duplex-Split/replica{index}/decode"
-
-    @property
-    def engines(self) -> tuple[ServingEngine, ...]:
-        return self.deployment.engines
-
-    @property
-    def metrics(self) -> MetricsCollector:
-        return self.deployment.metrics
-
-    @property
-    def completions(self) -> int:
-        return self.deployment.decode_engine.completions
-
-    @property
-    def rejected_count(self) -> int:
-        return len(self.deployment.prefill_engine.scheduler.rejected)
-
-    @property
-    def now_s(self) -> float:
-        return self.deployment.decode_engine.now_s
-
-    @property
-    def in_flight(self) -> int:
-        """Requests anywhere in the two-partition pipeline."""
-        deployment = self.deployment
-        prefill = deployment.prefill_engine.scheduler
-        decode = deployment.decode_engine.scheduler
-        return (
-            len(self.inbox)
-            + len(prefill.waiting)
-            + len(prefill.running)
-            + len(deployment.transfers)
-            + len(decode.waiting)
-            + len(decode.running)
-        )
-
-    def view(self) -> ReplicaView:
-        deployment = self.deployment
-        prefill = deployment.prefill_engine.scheduler
-        decode = deployment.decode_engine.scheduler
-        in_transfer = len(deployment.transfers)
-        return ReplicaView(
-            index=self.index,
-            queue_depth=(
-                len(self.inbox) + len(prefill.waiting) + in_transfer + len(decode.waiting)
-            ),
-            outstanding_tokens=(
-                self.inbox.queued_tokens
-                + prefill.outstanding_tokens
-                + deployment.transfers.queued_tokens
-                + decode.outstanding_tokens
-            ),
-            now_s=self.now_s,
-            kind=self.kind,
-        )
-
-    def harvest_queued(self) -> list[Request]:
-        """Strip and return every routed-but-unadmitted request (handoff)."""
-        prefill = self.deployment.prefill_engine.scheduler
-        queued: list[Request] = []
-        while len(self.inbox):
-            queued.append(self.inbox.take(0.0))
-        queued.extend(prefill.waiting)
-        prefill.waiting.clear()
-        return queued
-
-    def harvest_in_flight(self) -> tuple[list[Request], list[Request], list[tuple[Request, int]]]:
-        """Strip all work off a crashed split replica.
-
-        Both partitions die together (they share the replica's blast
-        radius), so everything past admission — prefilling, in transfer
-        between the partitions, or decoding — lost its KV.
-        """
-        deployment = self.deployment
-        prefill = deployment.prefill_engine.scheduler
-        decode = deployment.decode_engine.scheduler
-        queued = self.harvest_queued()
-        active = list(prefill.running)
-        for request in active:
-            prefill.release(request)
-        while len(deployment.transfers):
-            active.append(deployment.transfers.take(float("inf")))
-        active.extend(decode.waiting)
-        decode.waiting.clear()
-        decoding = list(decode.running)
-        for request in decoding:
-            decode.release(request)
-        active.extend(decoding)
-        return queued, active, []
-
-    def budget_spent(self, limits: SimulationLimits) -> bool:
-        return self.deployment.decode_engine.budget_spent(limits)
-
-    def jump_to(self, t: float) -> None:
-        self.deployment.prefill_engine.jump_to(t)
-        self.deployment.decode_engine.jump_to(t)
-
-    def advance_to(self, t: float, limits: SimulationLimits) -> None:
-        self.deployment.advance_to(t, limits)
-
-    def drain(self, limits: SimulationLimits) -> None:
-        self.deployment.drain(limits)
-
-    def drain_until(self, t: float, limits: SimulationLimits) -> None:
-        self.deployment.drain_until(t, limits)
-
-
-ClusterReplica = _MonolithicReplica | _ShardedReplica | _SplitReplica
-
-
 class ManagedReplica:
-    """Control-plane handle of one replica: lifecycle state + data plane.
+    """One fleet replica: its engines behind one inbox, and its lifecycle.
 
-    A fixed-fleet :class:`ClusterSimulator` creates every handle ACTIVE at
-    time zero and never transitions it; the elastic controller walks
-    handles through the full :class:`ReplicaState` lifecycle and records
+    A monolithic or sharded replica is one engine; a split replica is a
+    prefill engine handing off to a decode engine.  Everything but
+    construction (:meth:`ClusterSimulator._provision`) is generic over
+    ``engines``.
+
+    A fixed-fleet :class:`ClusterSimulator` creates every replica ACTIVE
+    at time zero and never transitions it; the elastic controller walks
+    replicas through the full :class:`ReplicaState` lifecycle and records
     every transition (with its virtual-clock timestamp) for the fleet
     time series.
 
     Attributes:
-        replica: the data-plane replica this handle manages.
+        index: replica id (provision order).
         spec: the :class:`ReplicaSpec` it was built from.
+        inbox: the queue the router pushes into (the first engine's
+            request source).
+        engines: the engines in pipeline order — one engine, or
+            ``(prefill, decode)``.  Each later engine's request source is
+            fed by the engine before it.
+        driver: what advances the engines (``advance_to``, ``drain``,
+            ``drain_until``): the engine itself, or the
+            :class:`~repro.serving.split.SplitServingSimulator`.
         state: current lifecycle state.
         provisioned_at: when capacity was requested.
         warming_at: planned boot-complete instant (PROVISIONING ends).
@@ -737,15 +452,22 @@ class ManagedReplica:
 
     def __init__(
         self,
-        replica: ClusterReplica,
+        index: int,
         spec: ReplicaSpec,
+        inbox: QueueSource,
+        engines: tuple[ServingEngine, ...],
+        driver: ServingEngine | SplitServingSimulator,
         state: ReplicaState = ReplicaState.ACTIVE,
         provisioned_at: float = 0.0,
         warming_at: float | None = None,
         active_at: float | None = None,
     ) -> None:
-        self.replica = replica
+        self.index = index
         self.spec = spec
+        self.inbox = inbox
+        self.engines = engines
+        self.driver = driver
+        self._schedulers = tuple(engine.scheduler for engine in engines)
         self.state = state
         self.provisioned_at = provisioned_at
         self.warming_at = provisioned_at if warming_at is None else warming_at
@@ -758,21 +480,145 @@ class ManagedReplica:
         self.retired_at: float | None = None
         self.transitions: list[tuple[float, ReplicaState]] = [(provisioned_at, state)]
 
-    @property
-    def index(self) -> int:
-        return self.replica.index
-
+    # ------------------------------------------------------------------
+    # data plane
+    # ------------------------------------------------------------------
     @property
     def kind(self) -> str:
-        return self.replica.kind
+        return self.spec.kind
+
+    @property
+    def metrics(self) -> MetricsCollector:
+        """The collector the last engine records into (shared by a split
+        replica's two partitions)."""
+        return self.engines[-1].metrics
+
+    @property
+    def completions(self) -> int:
+        return self.engines[-1].completions
+
+    @property
+    def now_s(self) -> float:
+        return self.engines[-1].now_s
+
+    @property
+    def rejected_count(self) -> int:
+        return len(self.engines[0].scheduler.rejected)
+
+    @property
+    def in_flight(self) -> int:
+        """Requests routed here and not yet finished (drain tracking).
+
+        Counts every scheduler's source (the inbox, or a split decode
+        partition's KV transfers), queue, batch, and requests paged out
+        of the batch (parked on host memory or mid-resume) — all of it
+        admitted work the drain must still finish.
+        """
+        return sum(
+            len(scheduler.source)
+            + len(scheduler.waiting)
+            + len(scheduler.running)
+            + scheduler.paged_count
+            for scheduler in self._schedulers
+        )
 
     @property
     def has_work(self) -> bool:
-        return self.replica.in_flight > 0
+        return self.in_flight > 0
+
+    def view(self) -> ReplicaView:
+        """What a router sees of this replica, stamped with its state."""
+        schedulers = self._schedulers
+        resident_tokens = 0
+        capacity_tokens = None
+        if len(schedulers) == 1:
+            # Shared-prefix pool tokens occupy the same device KV as the
+            # private reservations, so memory-pressure routing sees both
+            # (zero whenever dedup is off).  A split replica reports no
+            # resident KV.
+            (scheduler,) = schedulers
+            resident_tokens = scheduler.committed_tokens + scheduler.prefix_resident_tokens
+            capacity_tokens = scheduler.capacity_tokens
+        return ReplicaView(
+            index=self.index,
+            queue_depth=sum(len(s.source) + len(s.waiting) for s in schedulers),
+            outstanding_tokens=sum(
+                s.source.queued_tokens + s.outstanding_tokens for s in schedulers
+            ),
+            now_s=self.now_s,
+            kind=self.kind,
+            state=self.state.value,
+            resident_tokens=resident_tokens,
+            capacity_tokens=capacity_tokens,
+        )
 
     def budget_spent(self, limits: SimulationLimits) -> bool:
-        return self.replica.budget_spent(limits)
+        return self.engines[-1].budget_spent(limits)
 
+    def jump_to(self, t: float) -> None:
+        for engine in self.engines:
+            engine.jump_to(t)
+
+    def harvest_queued(self) -> list[Request]:
+        """Strip and return every routed-but-unadmitted request (handoff)."""
+        queued: list[Request] = []
+        while len(self.inbox):
+            queued.append(self.inbox.take(0.0))
+        waiting = self.engines[0].scheduler.waiting
+        queued.extend(waiting)
+        waiting.clear()
+        return queued
+
+    def harvest_in_flight(self) -> tuple[list[Request], list[Request], list[tuple[Request, int]]]:
+        """Strip all work off a crashed replica.
+
+        Returns ``(queued, active, parked)``: requests never admitted
+        (nothing lost — free re-route), requests whose device KV died
+        with the replica, and MIGRATE-parked victims whose host-side KV
+        survived (adoptable by another paged replica).  Every engine
+        dies with the replica: walking them in pipeline order, a
+        downstream engine's feed and queue (a split replica's KV
+        transfers and decode queue) are active work, then each engine's
+        batch is released, its paging abandoned (mid-resume and
+        RECOMPUTE-parked requests are active work too), and its
+        shared-prefix pool cleared.  Afterwards :attr:`in_flight` is
+        zero and the schedulers' accounting is clean for an in-place
+        repair.
+        """
+        queued = self.harvest_queued()
+        active: list[Request] = []
+        parked: list[tuple[Request, int]] = []
+        for position, scheduler in enumerate(self._schedulers):
+            if position:
+                feed = scheduler.source
+                while len(feed):
+                    active.append(feed.take(float("inf")))
+                active.extend(scheduler.waiting)
+                scheduler.waiting.clear()
+            running = list(scheduler.running)
+            for request in running:
+                scheduler.release(request)
+            active.extend(running)
+            coordinator = scheduler.paging
+            if coordinator is not None:
+                pairs, in_transit = coordinator.abandon_all()
+                for request in in_transit:
+                    scheduler.uncommit(request)
+                if coordinator.manager.policy is EvictionPolicy.MIGRATE:
+                    parked.extend(pairs)
+                else:
+                    active.extend(request for request, _ in pairs)
+                active.extend(in_transit)
+            if scheduler.prefix is not None:
+                # The shared-prefix pool lived in the dead device's KV:
+                # every cached block is gone (the residency high-water
+                # mark survives for the report).
+                scheduler.prefix.clear()
+        return queued, active, parked
+
+    # ------------------------------------------------------------------
+    # lifecycle (control plane)
+    # ------------------------------------------------------------------
     def set_state(self, t: float, state: ReplicaState) -> None:
         """Transition to ``state`` at virtual time ``t`` (logged, validated)."""
         if state is self.state:
@@ -793,10 +639,6 @@ class ManagedReplica:
         elif state is ReplicaState.RETIRED:
             self.retired_at = t
 
-    def routing_view(self) -> ReplicaView:
-        """The router-facing view, stamped with the lifecycle state."""
-        return replace(self.replica.view(), state=self.state.value)
-
     def route(self, request: Request) -> None:
         """Accept a routed request (ACTIVE replicas only)."""
         if self.state is not ReplicaState.ACTIVE:
@@ -804,7 +646,7 @@ class ManagedReplica:
                 f"replica {self.index} is {self.state.value}; "
                 "only ACTIVE replicas accept new requests"
             )
-        self.replica.inbox.push(request)
+        self.inbox.push(request)
 
     def lifetime_s(self, fleet_end_s: float) -> float:
         """Provisioned replica-seconds: provision to retire (or fleet end).
@@ -908,7 +750,8 @@ class ClusterReport:
         queue_depth_samples: queue-depth time series — one ``routing``
             sample per routing event plus ``cadence`` samples on the
             fixed virtual-clock sampling grid (idle/drain visibility).
-        replica_kinds: flavour of each replica (``monolithic`` / ``split``).
+        replica_kinds: flavour of each replica (``monolithic`` /
+            ``sharded`` / ``split``).
         replica_states: final lifecycle state of each replica.
         replica_events: every lifecycle transition, time-ordered.
         fleet_samples: fixed-cadence fleet composition/load time series
@@ -1088,81 +931,14 @@ class ClusterSimulator:
             # replica is built, so straggler/link schedules are sampled
             # on the bound stream in provision order.
             faults.bind(seed)
-        self.effective_batch = 0  # the largest replica batch, set below
         self.handles: list[ManagedReplica] = []
         for spec in replicas:
             self._provision(spec)
         # run-state lives in _begin_run() (single-shot, like the engines)
 
     # ------------------------------------------------------------------
-    # construction (control plane -> data plane)
+    # construction
     # ------------------------------------------------------------------
-    def _build_replica(self, index: int, spec: ReplicaSpec) -> ClusterReplica:
-        """Build the data-plane replica for one spec (also bumps
-        :attr:`effective_batch` to the largest batch seen)."""
-        replica_seed = None if self._seed is None else self._seed + index
-        if isinstance(spec, SplitReplicaSpec):
-            replica: ClusterReplica = _SplitReplica(
-                index=index,
-                model=self.model,
-                max_batch=spec.max_batch if spec.max_batch is not None else self._max_batch,
-                seed=replica_seed,
-                worst_case_tokens=self._worst_seq,
-            )
-            batch = replica.deployment.effective_batch
-        elif isinstance(spec, ShardedReplicaSpec):
-            replica_system = sharded_system(
-                self.model, spec.tp, spec.ep, spec.expert_tensor_parallel
-            )
-            requested = spec.max_batch if spec.max_batch is not None else self._max_batch
-            batch = min(requested, replica_system.max_batch_for(self.model, self._worst_seq))
-            if batch < 1:
-                raise CapacityError(
-                    f"{replica_system.name} cannot hold even one worst-case "
-                    f"({self._worst_seq}-token) request for {self.model.name}"
-                )
-            replica = _ShardedReplica(
-                index=index,
-                system=replica_system,
-                model=self.model,
-                effective_batch=batch,
-                capacity_tokens=replica_system.max_resident_kv_tokens(self.model),
-                policy=self._policy_factory() if self._policy_factory is not None else None,
-                gating_skew=self._gating_skew,
-                seed=replica_seed,
-                prefix=self._prefix,
-                n_devices=spec.n_devices,
-            )
-        elif isinstance(spec, MonolithicReplicaSpec):
-            replica_system = spec.system if spec.system is not None else self.system
-            requested = spec.max_batch if spec.max_batch is not None else self._max_batch
-            if self._paging is None:
-                batch = min(requested, replica_system.max_batch_for(self.model, self._worst_seq))
-                if batch < 1:
-                    raise CapacityError(
-                        f"{replica_system.name} cannot hold even one worst-case "
-                        f"({self._worst_seq}-token) request for {self.model.name}"
-                    )
-            else:
-                batch = requested  # sized in _MonolithicReplica (paged_engine_setup)
-            replica = _MonolithicReplica(
-                index=index,
-                system=replica_system,
-                model=self.model,
-                effective_batch=batch,
-                capacity_tokens=replica_system.max_resident_kv_tokens(self.model),
-                policy=self._policy_factory() if self._policy_factory is not None else None,
-                gating_skew=self._gating_skew,
-                seed=replica_seed,
-                paging=self._paging,
-                worst_case_tokens=self._worst_seq,
-                prefix=self._prefix,
-            )
-        else:
-            raise ConfigError(f"unknown replica spec {spec!r}")
-        self.effective_batch = max(self.effective_batch, batch)
-        return replica
-
     def _provision(
         self,
         spec: ReplicaSpec,
@@ -1171,50 +947,95 @@ class ClusterSimulator:
         warming_at: float | None = None,
         active_at: float | None = None,
     ) -> ManagedReplica:
-        """Build one replica and register its control-plane handle."""
-        replica = self._build_replica(len(self.handles), spec)
-        self._attach_fault_profiles(replica)
+        """Build one replica from ``spec`` and register it.
+
+        Monolithic and sharded replicas are a :class:`ServingSimulator`
+        engine over the replica's inbox, so fleet and single-engine
+        sizing cannot diverge; split replicas are a
+        :class:`~repro.serving.split.SplitServingSimulator`.  Replica
+        ``k`` seeds its executors with ``seed + k``.
+        """
+        index = len(self.handles)
+        seed = None if self._seed is None else self._seed + index
+        max_batch = spec.max_batch if spec.max_batch is not None else self._max_batch
+        inbox = QueueSource()
+        driver: ServingEngine | SplitServingSimulator
+        if isinstance(spec, SplitReplicaSpec):
+            split = SplitServingSimulator(
+                self.model,
+                inbox,
+                max_batch=max_batch,
+                seed=seed,
+                worst_case_tokens=self._worst_seq,
+            )
+            # Disambiguate engine labels when a fleet hosts several split
+            # replicas (labels key diagnostics and invariant probes).
+            split.prefill_engine.label = f"Duplex-Split/replica{index}/prefill"
+            split.decode_engine.label = f"Duplex-Split/replica{index}/decode"
+            driver, engines = split, split.engines
+        elif isinstance(spec, (MonolithicReplicaSpec, ShardedReplicaSpec)):
+            if isinstance(spec, ShardedReplicaSpec):
+                system = sharded_system(
+                    self.model, spec.tp, spec.ep, spec.expert_tensor_parallel
+                )
+                paging = None
+            else:
+                system = spec.system if spec.system is not None else self.system
+                paging = self._paging
+            # Each replica owns a private prefix pool: KV never leaves a
+            # device, so dedup is a per-replica affair (the router's job is
+            # landing a session's turns where its prefix already lives).
+            engine = ServingSimulator(
+                system,
+                self.model,
+                inbox,
+                max_batch=max_batch,
+                seed=seed,
+                gating_skew=self._gating_skew,
+                policy=self._policy_factory() if self._policy_factory is not None else None,
+                worst_case_tokens=self._worst_seq,
+                paging=paging,
+                prefix=self._prefix,
+            ).engine
+            engine.label = f"{system.name}/replica{index}"
+            driver, engines = engine, (engine,)
+        else:
+            raise ConfigError(f"unknown replica spec {spec!r}")
         handle = ManagedReplica(
-            replica,
+            index,
             spec,
+            inbox,
+            engines,
+            driver,
             state=state,
             provisioned_at=provisioned_at,
             warming_at=warming_at,
             active_at=active_at,
         )
+        self._attach_fault_profiles(handle)
         self.handles.append(handle)
         return handle
 
     # ------------------------------------------------------------------
-    # data-plane views
+    # fleet views
     # ------------------------------------------------------------------
-    @property
-    def replicas(self) -> list[ClusterReplica]:
-        """The data-plane replicas, in provision order."""
-        return [handle.replica for handle in self.handles]
-
     @property
     def engines(self) -> tuple[ServingEngine, ...]:
         """Every engine in the fleet, replica-major (invariant probes)."""
-        return tuple(engine for handle in self.handles for engine in handle.replica.engines)
-
-    # ------------------------------------------------------------------
-    # fleet-shape hooks (the elastic controller overrides these)
-    # ------------------------------------------------------------------
-    def _live_handles(self) -> list[ManagedReplica]:
-        """Handles still part of the fleet (everything but RETIRED)."""
-        return [h for h in self.handles if h.state is not ReplicaState.RETIRED]
+        return tuple(engine for handle in self.handles for engine in handle.engines)
 
     def _advanceable_handles(self) -> list[ManagedReplica]:
-        """Handles whose engines advance with the fleet clock.
+        """Handles whose engines advance with the fleet clock: serving
+        (ACTIVE) and draining ones.
 
-        FAILED replicas are frozen at their crash boundary — dead
+        Booting replicas idle with their clocks parked until activation,
+        and FAILED replicas are frozen at their crash boundary — dead
         hardware processes nothing until repaired.
         """
         return [
             h
             for h in self.handles
-            if h.state is not ReplicaState.RETIRED and h.state is not ReplicaState.FAILED
+            if h.state is ReplicaState.ACTIVE or h.state is ReplicaState.DRAINING
         ]
 
     def _routable_handles(self) -> list[ManagedReplica]:
@@ -1222,7 +1043,7 @@ class ClusterSimulator:
         return [h for h in self.handles if h.state is ReplicaState.ACTIVE]
 
     def _completions(self) -> int:
-        return sum(handle.replica.completions for handle in self.handles)
+        return sum(handle.completions for handle in self.handles)
 
     # ------------------------------------------------------------------
     # control ticks (fixed-cadence telemetry; elastic adds lifecycle)
@@ -1230,6 +1051,7 @@ class ClusterSimulator:
     def _begin_run(self, limits: SimulationLimits) -> None:
         """Per-run state initialisation (the single init site)."""
         self._samples: list[QueueDepthSample] = []
+        self._fleet_samples: list[FleetSample] = []  # elastic fleets only
         self._routed = 0
         self._next_sample_s = (
             self.sample_interval_s if self.sample_interval_s is not None else float("inf")
@@ -1265,7 +1087,7 @@ class ClusterSimulator:
         return t
 
     def _fleet_depths(self) -> tuple[int, ...]:
-        return tuple(handle.replica.view().queue_depth for handle in self.handles)
+        return tuple(handle.view().queue_depth for handle in self.handles)
 
     def _emit_cadence_sample(self, t: float) -> None:
         depths = self._fleet_depths()
@@ -1278,8 +1100,20 @@ class ClusterSimulator:
             return
         self._samples.append(QueueDepthSample(time_s=t, depths=depths, kind="cadence"))
 
+    def _emit_routing_sample(self, t: float) -> None:
+        depths = self._fleet_depths()
+        self._samples.append(QueueDepthSample(time_s=t, depths=depths, kind="routing"))
+
+    def _choose(self, candidates: list[ManagedReplica], request: Request) -> ManagedReplica:
+        """The candidate the router picks for ``request``."""
+        index = self.router.choose([handle.view() for handle in candidates], request)
+        chosen = next((h for h in candidates if h.index == index), None)
+        if chosen is None:
+            raise ConfigError(f"{self.router.name} routed to invalid replica {index}")
+        return chosen
+
     def _control_tick(self, t: float, limits: SimulationLimits) -> None:
-        """One control tick during the routing phase.
+        """One control tick: between arrivals, or after a drain slice.
 
         Fault events (crash detection, repair) and due retries are
         serviced first; the telemetry cadence then samples only when the
@@ -1294,30 +1128,23 @@ class ClusterSimulator:
             self._emit_cadence_sample(t)
             self._next_sample_s = t + self.sample_interval_s
 
-    def _after_drain_slice(self, t: float, limits: SimulationLimits) -> None:
-        """Telemetry/lifecycle work after one drain-phase time slice."""
-        self._service_faults(t, limits)
-        if t >= self._next_sample_s:
-            self._emit_cadence_sample(t)
-            self._next_sample_s = t + self.sample_interval_s
-
     def _finish_drain(self, limits: SimulationLimits) -> None:
         """Post-drain lifecycle hook (the elastic controller retires)."""
 
     # ------------------------------------------------------------------
     # failure injection and recovery
     # ------------------------------------------------------------------
-    def _attach_fault_profiles(self, replica: ClusterReplica) -> None:
+    def _attach_fault_profiles(self, handle: ManagedReplica) -> None:
         """Wire straggler/link degradation schedules into a new replica."""
         if self.faults is None:
             return
-        for engine in replica.engines:
-            engine.fault_profile = self.faults.straggler_profile(replica.index)
-        scheduler = getattr(replica, "scheduler", None)
-        if scheduler is not None and scheduler.paging is not None:
-            profile = self.faults.link_profile()
-            if profile is not None:
-                scheduler.paging.link_scale = profile.scale_at
+        for engine in handle.engines:
+            engine.fault_profile = self.faults.straggler_profile(handle.index)
+            paging = engine.scheduler.paging
+            if paging is not None:
+                profile = self.faults.link_profile()
+                if profile is not None:
+                    paging.link_scale = profile.scale_at
 
     def _arm_crash(self, handle: ManagedReplica, active_from_s: float) -> None:
         """Schedule the replica's next crash (and its later detection)."""
@@ -1403,13 +1230,13 @@ class ClusterSimulator:
             return
         handle.set_state(t, ReplicaState.FAILED)
         self._open_outages.append((index, crash_s))
-        metrics = handle.replica.metrics
+        metrics = handle.metrics
         metrics.record_crash(device_level=cause == "device")
-        queued, active, parked = handle.replica.harvest_in_flight()
+        queued, active, parked = handle.harvest_in_flight()
         for request in queued:
             self._push_retry(t, request, -1, 0.0, None)
         for request in active:
-            self._account_lost_work(metrics, handle.replica, request)
+            self._account_lost_work(metrics, handle, request)
             self._schedule_retry(t, request, -1, metrics)
         for request, cached in parked:
             self._schedule_retry(t, request, cached, metrics)
@@ -1423,7 +1250,7 @@ class ClusterSimulator:
         if handle.state is not ReplicaState.FAILED:
             return
         handle.set_state(t, ReplicaState.ACTIVE)
-        handle.replica.jump_to(t)
+        handle.jump_to(t)
         self._close_outage(t, index)
         self._arm_crash(handle, t)
 
@@ -1443,7 +1270,7 @@ class ClusterSimulator:
         self._unavailability_s += max(0.0, t - crash_s)
 
     def _account_lost_work(
-        self, metrics: MetricsCollector, replica: ClusterReplica, request: Request
+        self, metrics: MetricsCollector, handle: ManagedReplica, request: Request
     ) -> None:
         """Charge one admitted request's lost progress to ``metrics``.
 
@@ -1453,7 +1280,7 @@ class ClusterSimulator:
         """
         if request.first_token_time_s is not None:
             metrics.retract_first_token(request.t2ft_s, request.tenant, request.t2ft_slo_s)
-        replay_s, replay_energy_j = self._price_lost_prefill(replica, request.prefilled_tokens)
+        replay_s, replay_energy_j = self._price_lost_prefill(handle, request.prefilled_tokens)
         metrics.record_lost_work(
             generated_tokens=request.tokens_generated,
             prefill_tokens=request.prefilled_tokens,
@@ -1461,18 +1288,17 @@ class ClusterSimulator:
             replay_energy_j=replay_energy_j,
         )
 
-    def _price_lost_prefill(self, replica: ClusterReplica, tokens: int) -> tuple[float, float]:
+    def _price_lost_prefill(self, handle: ManagedReplica, tokens: int) -> tuple[float, float]:
         """Estimated cost of re-running ``tokens`` of lost prefill.
 
         Priced once per (executor, token count) on the dead replica's
-        own executor — a report-level estimate; the actual retry is
-        priced organically on whichever replica re-runs it.
+        first engine (a split replica's prefill partition) — a
+        report-level estimate; the actual retry is priced organically on
+        whichever replica re-runs it.
         """
         if tokens < 1:
             return 0.0, 0.0
-        executor = getattr(replica, "executor", None)
-        if executor is None:  # split replica: price on the prefill partition
-            executor = replica.deployment.prefill_engine.executor
+        executor = handle.engines[0].executor
         key = (id(executor), tokens)
         cached = self._replay_price_cache.get(key)
         if cached is None:
@@ -1531,21 +1357,15 @@ class ClusterSimulator:
                 self._lost_requests.append(request)
             return
         for handle in candidates:
-            handle.replica.advance_to(self._capped(handle, t), limits)
-        views = [handle.routing_view() for handle in candidates]
-        index = self.router.choose(views, request)
-        chosen = next((h for h in candidates if h.index == index), None)
-        if chosen is None:
-            raise ConfigError(f"{self.router.name} routed to invalid replica {index}")
+            handle.driver.advance_to(self._capped(handle, t), limits)
+        chosen = self._choose(candidates, request)
         if cached >= 0:
             # A prefix-sharing victim's host copy covers only its private
             # KV — the shared span lived in the dead replica's pool — so
             # adoption cannot reconstitute it; the request re-runs from
             # scratch like any other (requeue resets its prefix state).
             coordinator = (
-                self._migrate_coordinator(chosen.replica)
-                if request.prefix_shared_tokens == 0
-                else None
+                self._migrate_coordinator(chosen) if request.prefix_shared_tokens == 0 else None
             )
             if coordinator is not None:
                 try:
@@ -1553,37 +1373,29 @@ class ClusterSimulator:
                 except CapacityError:
                     pass  # target's host budget is full: fall back to requeue
                 else:
-                    chosen.replica.metrics.record_retry(
+                    chosen.metrics.record_retry(
                         tenant=request.tenant, backoff_s=backoff_s, migrate_recovery=True
                     )
-                    self._samples.append(
-                        QueueDepthSample(
-                            time_s=t, depths=self._fleet_depths(), kind="routing"
-                        )
-                    )
+                    self._emit_routing_sample(t)
                     return
             # No MIGRATE target for the host copy: its KV is lost after
             # all and the request re-runs from scratch like any other.
             self._account_lost_work(
-                source_metrics if source_metrics is not None else chosen.replica.metrics,
-                chosen.replica,
+                source_metrics if source_metrics is not None else chosen.metrics,
+                chosen,
                 request,
             )
         request.requeue(t)
         chosen.route(request)
         if source_metrics is not None:
-            chosen.replica.metrics.record_retry(tenant=request.tenant, backoff_s=backoff_s)
-        self._samples.append(
-            QueueDepthSample(time_s=t, depths=self._fleet_depths(), kind="routing")
-        )
+            chosen.metrics.record_retry(tenant=request.tenant, backoff_s=backoff_s)
+        self._emit_routing_sample(t)
 
-    def _migrate_coordinator(self, replica: ClusterReplica) -> KvPagingCoordinator | None:
-        """The replica's MIGRATE-policy paging coordinator, if it has one."""
-        scheduler = getattr(replica, "scheduler", None)
-        if scheduler is None or scheduler.paging is None:
-            return None
-        coordinator = scheduler.paging
-        if coordinator.manager.policy is not EvictionPolicy.MIGRATE:
+    def _migrate_coordinator(self, handle: ManagedReplica) -> KvPagingCoordinator | None:
+        """The replica's MIGRATE-policy paging coordinator, if it has one
+        (on the engine that admits routed requests)."""
+        coordinator = handle.engines[0].scheduler.paging
+        if coordinator is None or coordinator.manager.policy is not EvictionPolicy.MIGRATE:
             return None
         return coordinator
 
@@ -1638,7 +1450,7 @@ class ClusterSimulator:
         are handed back to the router (free, no attempt charge) instead
         of vanishing with the handle.
         """
-        for request in handle.replica.harvest_queued():
+        for request in handle.harvest_queued():
             self._push_retry(t, request, -1, 0.0, None)
 
     # ------------------------------------------------------------------
@@ -1683,7 +1495,7 @@ class ClusterSimulator:
     def _route_arrival(self, arrival: float, limits: SimulationLimits) -> None:
         """Advance the fleet to ``arrival`` and route the next request."""
         for handle in self._advanceable_handles():
-            handle.replica.advance_to(self._capped(handle, arrival), limits)
+            handle.driver.advance_to(self._capped(handle, arrival), limits)
         request = self.source.take(arrival)
         candidates = self._routable_handles()
         if not candidates:
@@ -1703,16 +1515,10 @@ class ClusterSimulator:
             raise SimulationError(
                 "no ACTIVE replica to route to — the controller drained the whole fleet"
             )
-        views = [handle.routing_view() for handle in candidates]
-        index = self.router.choose(views, request)
-        chosen = next((h for h in candidates if h.index == index), None)
-        if chosen is None:
-            raise ConfigError(f"{self.router.name} routed to invalid replica {index}")
+        chosen = self._choose(candidates, request)
         chosen.route(request)
         self._routed += 1
-        self._samples.append(
-            QueueDepthSample(time_s=arrival, depths=self._fleet_depths(), kind="routing")
-        )
+        self._emit_routing_sample(arrival)
 
     def _drain_fleet(self, limits: SimulationLimits) -> None:
         """Finish everything routed, sampling on the cadence grid.
@@ -1727,7 +1533,7 @@ class ClusterSimulator:
         self._drain_phase = True
         if self._next_control_s() == float("inf"):
             for handle in self._advanceable_handles():
-                handle.replica.drain(limits)
+                handle.driver.drain(limits)
             self._finish_drain(limits)
             return
         t = self._next_control_s()
@@ -1743,31 +1549,31 @@ class ClusterSimulator:
                 # The control calendar emptied (every armed crash either
                 # fired or fell beyond the simulated work): plain drain.
                 for handle in workers:
-                    handle.replica.drain(limits)
+                    handle.driver.drain(limits)
             else:
                 for handle in workers:
-                    handle.replica.drain_until(self._capped(handle, t), limits)
-                self._after_drain_slice(t, limits)
+                    handle.driver.drain_until(self._capped(handle, t), limits)
+                self._control_tick(t, limits)
             t = self._next_control_s()
         for handle in self._advanceable_handles():
-            handle.replica.drain(limits)
+            handle.driver.drain(limits)
         self._finish_drain(limits)
 
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
     def _report(self, samples: list[QueueDepthSample]) -> ClusterReport:
-        fleet = MetricsCollector.merged([handle.replica.metrics for handle in self.handles])
+        fleet = MetricsCollector.merged([handle.metrics for handle in self.handles])
         if not fleet.stages_recorded:
             raise SimulationError(
                 "the cluster recorded no stages — no requests were routed, or "
                 "warmup_stages outlasted every replica's run"
             )
         per_replica = tuple(
-            handle.replica.metrics.report() if handle.replica.metrics.stages_recorded else None
+            handle.metrics.report() if handle.metrics.stages_recorded else None
             for handle in self.handles
         )
-        fleet_end = max((handle.replica.now_s for handle in self.handles), default=0.0)
+        fleet_end = max((handle.now_s for handle in self.handles), default=0.0)
         # Fleet-level failure accounting: outages still open at fleet end
         # run to fleet end, and permanently lost requests are charged to
         # the pooled collector (all no-ops on a fault-free run).
@@ -1789,13 +1595,13 @@ class ClusterSimulator:
         return ClusterReport(
             fleet=fleet.report(),
             replicas=per_replica,
-            requests_routed=tuple(handle.replica.inbox.accepted for handle in self.handles),
-            requests_rejected=sum(handle.replica.rejected_count for handle in self.handles),
+            requests_routed=tuple(handle.inbox.accepted for handle in self.handles),
+            requests_rejected=sum(handle.rejected_count for handle in self.handles),
             queue_depth_samples=tuple(samples),
             replica_kinds=tuple(handle.kind for handle in self.handles),
             replica_states=tuple(handle.state.value for handle in self.handles),
             replica_events=tuple(events),
-            fleet_samples=self._fleet_sample_series(),
+            fleet_samples=tuple(self._fleet_samples),
             replica_seconds=sum(handle.lifetime_s(fleet_end) for handle in self.handles),
             device_seconds=sum(
                 handle.lifetime_s(fleet_end)
@@ -1803,7 +1609,3 @@ class ClusterSimulator:
                 for handle in self.handles
             ),
         )
-
-    def _fleet_sample_series(self) -> tuple[FleetSample, ...]:
-        """Fleet composition time series (elastic controller overrides)."""
-        return ()

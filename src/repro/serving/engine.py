@@ -28,28 +28,19 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Protocol
+from typing import Callable, Protocol
 
 import numpy as np
 
 from repro.core.executor import StageExecutor, StageResult, StageWorkload
-from repro.errors import CapacityError, ConfigError, SchedulingError
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from repro.core.system import SystemConfig
-    from repro.models.config import ModelConfig
+from repro.errors import ConfigError, SchedulingError
 from repro.serving.metrics import (
     _COMPUTE_KEYS,
     _DRAM_KEYS,
     MetricsCollector,
     ServingReport,
 )
-from repro.serving.paging import (
-    EvictionOutcome,
-    EvictionPolicy,
-    PagedKvManager,
-    PagingConfig,
-)
+from repro.serving.paging import EvictionOutcome, EvictionPolicy, PagedKvManager
 from repro.serving.request import Request, RequestState
 from repro.serving.scheduler import ContinuousBatchingScheduler
 
@@ -449,51 +440,6 @@ class KvPagingCoordinator:
         return result
 
 
-def build_paging_coordinator(
-    config: PagingConfig,
-    capacity_tokens: int,
-    kv_bytes_per_token: float,
-    executor: StageExecutor,
-) -> KvPagingCoordinator:
-    """Build the live-paging coordinator one engine's scheduler attaches to."""
-    manager = PagedKvManager(
-        capacity_tokens=capacity_tokens,
-        kv_bytes_per_token=kv_bytes_per_token,
-        policy=config.policy,
-        link=config.link,
-        host_capacity_tokens=config.host_capacity_tokens,
-    )
-    return KvPagingCoordinator(manager, executor)
-
-
-def paged_engine_setup(
-    config: PagingConfig,
-    system: "SystemConfig",
-    model: "ModelConfig",
-    requested_batch: int,
-    worst_case_tokens: int,
-    executor: StageExecutor,
-) -> tuple[int, int, KvPagingCoordinator]:
-    """Size and equip one paged engine: (batch, capacity, coordinator).
-
-    Paged engines admit *beyond* device KV, so the requested batch is not
-    capacity-capped — but one worst-case request must still fit on the
-    device.  Shared by :class:`~repro.serving.simulator.ServingSimulator`
-    and every paged cluster replica so the admission precondition cannot
-    silently diverge between the single-engine and fleet paths.
-    """
-    capacity_tokens = system.max_resident_kv_tokens(model)
-    if worst_case_tokens > capacity_tokens:
-        raise CapacityError(
-            f"{system.name} cannot hold even one worst-case "
-            f"({worst_case_tokens}-token) request for {model.name}"
-        )
-    coordinator = build_paging_coordinator(
-        config, capacity_tokens, model.kv_bytes_per_token, executor
-    )
-    return requested_batch, capacity_tokens, coordinator
-
-
 class ServingEngine:
     """One event-driven serving partition: scheduler + executor + metrics.
 
@@ -542,7 +488,6 @@ class ServingEngine:
         self.scheduler = scheduler
         self.executor = executor
         self.columnar = columnar
-        self._steady_capable = hasattr(scheduler, "steady_run_threshold")
         #: Unscaled latency of the last decode-only stage: sizes a run's
         #: pre-truncation estimate (runs start outside straggler windows,
         #: and a prefill stage's latency says nothing about decode stages).
@@ -569,14 +514,14 @@ class ServingEngine:
         #: the cluster's fault wiring; None costs nothing.
         self.fault_profile = None
         self._admitted_seen = 0  # admitted_log cursor for StageEvent attribution
-        paging = getattr(scheduler, "paging", None)
+        paging = scheduler.paging
         if paging is not None and paging.metrics is None:
             paging.metrics = self.metrics
         #: Prefix-dedup attribution: when the scheduler carries a
         #: PrefixIndex, cache-hit admissions are priced counterfactually
         #: (what would the skipped prefill have cost?) through the real
         #: executor, cached per token count like the paging replay cache.
-        self._prefix_enabled = getattr(scheduler, "prefix", None) is not None
+        self._prefix_enabled = scheduler.prefix is not None
         self._prefix_price_cache: dict[int, StageResult] = {}
 
     # ------------------------------------------------------------------
@@ -773,7 +718,6 @@ class ServingEngine:
         """
         if (
             not self.columnar
-            or not self._steady_capable
             or self.handoff is not None
             or self.record_gate is not None
             or self.observers

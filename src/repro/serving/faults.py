@@ -161,9 +161,8 @@ class FaultConfig:
             replica spanning ``n`` devices draws at ``n`` times the
             rate, and a device failure kills the owning replica.
         crash_mttr_s: mean time to repair.  When set, a FAILED replica
-            returns to ACTIVE after this fixed dwell (in-place repair
-            for fixed fleets); None leaves failures terminal and lets
-            an elastic controller provision replacements instead.
+            returns to ACTIVE after this fixed dwell (in-place repair);
+            None leaves failures terminal for the rest of the run.
         detection_latency_s: delay between a crash and the health
             checker observing it; routers keep routing to the dead
             replica inside this window.

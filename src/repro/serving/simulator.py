@@ -5,6 +5,10 @@ A thin configuration of the event-driven serving core in
 executor for one system/model pair, optionally warm-starts the batch, and
 delegates the run loop to :meth:`~repro.serving.engine.ServingEngine.run`.
 
+The cluster builds every monolithic and sharded fleet replica through this
+class too (over the replica's inbox), so a fleet replica and a single
+engine are sized and equipped by the same code.
+
 The simulator is source-agnostic: pass a
 :class:`~repro.serving.generator.WorkloadSpec` for the paper's synthetic
 workloads, or any :class:`~repro.serving.generator.RequestSource` — e.g. a
@@ -20,10 +24,10 @@ from repro.core.executor import StageExecutor
 from repro.core.system import SystemConfig
 from repro.errors import CapacityError
 from repro.models.config import ModelConfig
-from repro.serving.engine import ServingEngine, SimulationLimits, paged_engine_setup
+from repro.serving.engine import KvPagingCoordinator, ServingEngine, SimulationLimits
 from repro.serving.generator import RequestSource, WorkloadSpec, resolve_source
 from repro.serving.metrics import ServingReport
-from repro.serving.paging import PagingConfig, PrefixConfig, PrefixIndex
+from repro.serving.paging import PagedKvManager, PagingConfig, PrefixConfig, PrefixIndex
 from repro.serving.policy import SchedulingPolicy
 from repro.serving.scheduler import ContinuousBatchingScheduler
 
@@ -85,19 +89,31 @@ class ServingSimulator:
         self.workload = workload
         self.executor = StageExecutor(system, model, gating_skew=gating_skew, seed=seed)
         self.source, worst_seq = resolve_source(workload, seed, worst_case_tokens)
+        capacity_tokens = system.max_resident_kv_tokens(model)
         if paging is not None:
-            self.effective_batch, capacity_tokens, self.paging = paged_engine_setup(
-                paging, system, model, max_batch, worst_seq, self.executor
-            )
+            # Paged engines admit beyond device KV, so the requested batch
+            # is not capacity-capped — but one worst-case request must
+            # still fit on the device.
+            self.effective_batch = max_batch
+            fits = worst_seq <= capacity_tokens
         else:
             self.effective_batch = min(max_batch, system.max_batch_for(model, worst_seq))
-            if self.effective_batch < 1:
-                raise CapacityError(
-                    f"{system.name} cannot hold even one worst-case "
-                    f"({worst_seq}-token) request for {model.name}"
-                )
-            capacity_tokens = system.max_resident_kv_tokens(model)
-            self.paging = None
+            fits = self.effective_batch >= 1
+        if not fits:
+            raise CapacityError(
+                f"{system.name} cannot hold even one worst-case "
+                f"({worst_seq}-token) request for {model.name}"
+            )
+        self.paging: KvPagingCoordinator | None = None
+        if paging is not None:
+            manager = PagedKvManager(
+                capacity_tokens=capacity_tokens,
+                kv_bytes_per_token=model.kv_bytes_per_token,
+                policy=paging.policy,
+                link=paging.link,
+                host_capacity_tokens=paging.host_capacity_tokens,
+            )
+            self.paging = KvPagingCoordinator(manager, self.executor)
         self.prefix = PrefixIndex(prefix) if prefix is not None else None
         self.scheduler = ContinuousBatchingScheduler(
             self.source,

@@ -335,7 +335,7 @@ class TestControllerMechanics:
             name = "window-probe"
 
             def target_replicas(self, view):
-                metrics = sim.handles[0].replica.metrics
+                metrics = sim.handles[0].metrics
                 seen.append(metrics._tbt_count)
                 assert len(view.recent_tbt_s) == min(window, metrics._tbt_count)
                 values, weights = metrics._tbt_columns()
@@ -425,7 +425,7 @@ def _run_e2e(policy, initial=None, max_replicas=4):
         max_batch=2, seed=5, slo_window=24,
     )
     report = sim.run(LIMITS)
-    merged = MetricsCollector.merged([h.replica.metrics for h in sim.handles])
+    merged = MetricsCollector.merged([h.metrics for h in sim.handles])
     return sim, report, merged
 
 
@@ -458,10 +458,9 @@ class TestEndToEndSloScaling:
         # Ledger-level: every request routed to a replica finished there,
         # including on the replicas that drained and retired.
         for handle in sim.handles:
-            replica = handle.replica
-            assert replica.in_flight == 0
-            finished = set(replica.engines[-1].finished_ids)
-            routed = replica.inbox.accepted
+            assert handle.in_flight == 0
+            finished = set(handle.engines[-1].finished_ids)
+            routed = handle.inbox.accepted
             assert len(finished) == routed
 
     def test_beats_static_min_at_lower_cost_than_static_max(self, e2e):
@@ -548,8 +547,8 @@ class TestDrainingExitHandoff:
 
         assert handle.state is ReplicaState.RETIRED
         assert sim._draining == []
-        assert len(handle.replica.inbox) == 0
-        assert not handle.replica.scheduler.waiting
+        assert len(handle.inbox) == 0
+        assert not handle.engines[0].scheduler.waiting
         [(ready_s, _, requeued, cached, backoff_s, metrics)] = sim._retry_due
         assert requeued is second
         assert ready_s == 1.0  # immediately re-routable at the tick

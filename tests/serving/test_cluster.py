@@ -337,7 +337,7 @@ class TestHeterogeneousFleet:
 
     def test_router_views_expose_replica_kinds(self):
         sim = self._hetero(RoundRobinRouter())
-        kinds = [replica.view().kind for replica in sim.replicas]
+        kinds = [handle.view().kind for handle in sim.handles]
         assert kinds == ["monolithic", "monolithic", "split"]
 
     def test_load_aware_router_balances_mixed_fleet(self):
@@ -356,8 +356,8 @@ class TestHeterogeneousFleet:
             SYSTEM, MODEL, spec, seed=0,
             replicas=(MonolithicReplicaSpec(max_batch=2), MonolithicReplicaSpec(max_batch=8)),
         )
-        assert sim.replicas[0].engine.metrics.effective_batch == 2
-        assert sim.replicas[1].engine.metrics.effective_batch == 8
+        assert sim.handles[0].metrics.effective_batch == 2
+        assert sim.handles[1].metrics.effective_batch == 8
 
     def test_spec_list_and_n_replicas_must_agree(self):
         spec = WorkloadSpec(lin_mean=256, lout_mean=32, qps=10.0)
@@ -426,8 +426,8 @@ class TestPagedCluster:
         assert report.fleet.requests_completed + report.requests_rejected == 70
         assert report.fleet.paging["preemptions"] > 0
         # Per-replica accounting drained clean.
-        for replica in sim.replicas:
-            manager = replica.scheduler.paging.manager
+        for handle in sim.handles:
+            manager = handle.engines[0].scheduler.paging.manager
             assert manager.resident_tokens == 0
             assert manager.evicted_tokens == 0
 
@@ -442,14 +442,16 @@ class TestLifecycleTransitionLog:
 
     @pytest.fixture(scope="class")
     def replica(self):
-        # One shared data plane: these tests exercise only the
-        # control-plane handle wrapped around it.
+        # One shared data plane: these tests exercise only the lifecycle
+        # of fresh replicas built over it.
         sim = poisson_cluster(n_replicas=1)
-        handle = sim.handles[0]
-        return handle.replica, handle.spec
+        return sim.handles[0]
 
     def _handle(self, replica, state):
-        return ManagedReplica(replica[0], replica[1], state=state)
+        return ManagedReplica(
+            replica.index, replica.spec, replica.inbox, replica.engines, replica.driver,
+            state=state,
+        )
 
     def test_every_legal_edge_logs_with_timestamp(self, replica):
         for source, targets in _LEGAL_TRANSITIONS.items():

@@ -63,7 +63,7 @@ class TestClusterOfOneEqualsSimulator:
         spec = WorkloadSpec(lin_mean=2048, lout_mean=96, lin_cv=1.0, lout_cv=0.3, qps=14.0)
         solo, _, fleet, _ = _pair(spec, seed=11)
         solo_metrics = solo.engine.metrics
-        replica_metrics = fleet.replicas[0].metrics
+        replica_metrics = fleet.handles[0].metrics
         assert solo_metrics._t2ft == replica_metrics._t2ft
         assert solo_metrics._e2e == replica_metrics._e2e
         # Per-stage TBT columns in record order (order-sensitive).

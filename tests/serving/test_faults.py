@@ -1,6 +1,6 @@
 """Fault-tolerance tests (marked ``chaos``).
 
-Four layers:
+Five layers:
 
 * unit tests — RNG stream derivation, stage-time profiles, config
   validation, crash sampling (trace precedence, device blast radius);
@@ -10,6 +10,9 @@ Four layers:
   with no injector at all;
 * recovery units — host-KV adoption and crash-harvest bookkeeping on the
   :class:`PagedKvManager`;
+* the replica crash harvest — a split replica stopped mid-pipeline and a
+  MIGRATE-paged replica hand back every unfinished request exactly once
+  and leave clean accounting;
 * the end-to-end acceptance scenario — a fixed seeded crash schedule
   against a two-replica fleet: the retry stack completes every retryable
   request (zero permanently lost), conserves generated tokens against
@@ -27,7 +30,12 @@ from repro.core.system import duplex_system
 from repro.errors import CapacityError, ConfigError, SchedulingError
 from repro.experiments.chaos import _p99_with_lost
 from repro.models.config import mixtral
-from repro.serving.cluster import ClusterSimulator, ReplicaState
+from repro.serving.cluster import (
+    ClusterSimulator,
+    MonolithicReplicaSpec,
+    ReplicaState,
+    SplitReplicaSpec,
+)
 from repro.serving.faults import (
     FaultConfig,
     FaultInjector,
@@ -37,7 +45,7 @@ from repro.serving.faults import (
 )
 from repro.serving.generator import WorkloadSpec
 from repro.serving.metrics import MetricsCollector
-from repro.serving.paging import PagedKvManager
+from repro.serving.paging import PagedKvManager, PagingConfig
 from repro.serving.simulator import SimulationLimits
 from repro.serving.trace import TraceRecord, TraceReplayGenerator
 
@@ -343,6 +351,82 @@ class TestManagerCrashRecovery:
 
 
 # ----------------------------------------------------------------------
+# crash harvest: every unfinished request comes back exactly once
+# ----------------------------------------------------------------------
+HARVEST_LIMITS = SimulationLimits(max_stages=60_000, warmup_stages=0)
+
+#: case -> (replica spec, n requests, input/output length, arrival
+#: spacing, max batch, stop instant, paging).
+HARVEST_CASES = {
+    # Stopped mid-pipeline: a request in the inbox, KV transfers in
+    # flight between the partitions, and a request decoding.
+    "split": (SplitReplicaSpec(), 40, 2048, 64, 0.01, 16, 0.05, None),
+    # Stopped with requests decoding and others MIGRATE-parked on host
+    # memory (their KV survives the crash).
+    "paged-migrate": (
+        MonolithicReplicaSpec(), 24, 150_000, 300, 0.05, 16, 4.0, PagingConfig()
+    ),
+}
+
+
+def stopped_replica(case):
+    """A one-replica cluster routed and advanced to the case's stop instant."""
+    spec, n, input_len, output_len, spacing_s, max_batch, stop_s, paging = HARVEST_CASES[case]
+    trace = TraceReplayGenerator(
+        [
+            TraceRecord(arrival_s=i * spacing_s, input_len=input_len, output_len=output_len)
+            for i in range(n)
+        ]
+    )
+    sim = ClusterSimulator(
+        SYSTEM, MODEL, trace, replicas=(spec,), max_batch=max_batch, seed=1, paging=paging
+    )
+    sim._begin_run(HARVEST_LIMITS)
+    while sim.source.peek_arrival() <= stop_s:
+        sim._route_arrival(sim.source.peek_arrival(), HARVEST_LIMITS)
+    handle = sim.handles[0]
+    handle.driver.advance_to(stop_s, HARVEST_LIMITS)
+    return handle
+
+
+class TestCrashHarvest:
+    @pytest.mark.parametrize("case", sorted(HARVEST_CASES))
+    def test_every_unfinished_request_comes_back_once(self, case):
+        handle = stopped_replica(case)
+        first, last = handle.engines[0].scheduler, handle.engines[-1].scheduler
+        # Trace request ids count up from 0 in arrival order.
+        finished = {rid for engine in handle.engines for rid in engine.finished_ids}
+        unfinished = set(range(handle.inbox.accepted)) - finished
+        expected_queued = list(handle.inbox._queue) + list(first.waiting)
+        first_running = list(first.running)
+        last_running = list(last.running)
+        if case == "split":
+            assert len(handle.inbox) and len(last.source) and last_running
+        else:
+            assert last_running and first.paged_count
+
+        queued, active, parked = handle.harvest_in_flight()
+
+        returned = [r.request_id for r in queued + active] + [r.request_id for r, _ in parked]
+        assert sorted(returned) == sorted(unfinished)  # each exactly once
+        assert queued == expected_queued
+        # Pipeline order: the first engine's batch leads; a split
+        # replica's decode batch closes the list.
+        assert active[: len(first_running)] == first_running
+        if case == "split":
+            assert active[len(active) - len(last_running) :] == last_running
+        if case == "paged-migrate":
+            assert parked
+            manager = first.paging.manager
+            assert manager.resident_tokens == 0
+            assert manager.evicted_tokens == 0
+        else:
+            assert parked == []
+        assert handle.in_flight == 0
+        assert all(s.committed_tokens == 0 for s in (first, last))
+
+
+# ----------------------------------------------------------------------
 # straggler windows stretch wall-clock, never energy
 # ----------------------------------------------------------------------
 STRAGGLER_LIMITS = SimulationLimits(max_stages=20_000, warmup_stages=0)
@@ -371,7 +455,7 @@ class TestStragglerProfile:
 
     def test_slowdown_stretches_elapsed_not_energy(self, baseline):
         sim = one_replica_cluster()
-        for engine in sim.handles[0].replica.engines:
+        for engine in sim.handles[0].engines:
             engine.fault_profile = StageTimeProfile(((0.0, 1e9, 2.0),))
         slow = sim.run(STRAGGLER_LIMITS)
         assert slow.fleet.tokens_generated == baseline.fleet.tokens_generated
@@ -383,7 +467,7 @@ class TestStragglerProfile:
 
     def test_quiescent_profile_is_byte_identical(self, baseline):
         sim = one_replica_cluster()
-        for engine in sim.handles[0].replica.engines:
+        for engine in sim.handles[0].engines:
             engine.fault_profile = StageTimeProfile(())
         assert_reports_identical(baseline, sim.run(STRAGGLER_LIMITS))
 
@@ -485,7 +569,7 @@ class TestCrashRecoveryEndToEnd:
         # Retraction bookkeeping: exactly one T2FT sample per completed
         # request survives, on both recovery stacks.
         for sim, report in crash_runs:
-            merged = MetricsCollector.merged([h.replica.metrics for h in sim.handles])
+            merged = MetricsCollector.merged([h.metrics for h in sim.handles])
             assert len(merged.t2ft_samples) == report.fleet.requests_completed
 
     def test_retry_beats_no_retry(self, crash_runs):
@@ -497,12 +581,12 @@ class TestCrashRecoveryEndToEnd:
         # Lost requests never produced a first token: counted as
         # unbounded samples, the baseline's tail diverges while the
         # retry stack's stays finite.
-        merged = MetricsCollector.merged([h.replica.metrics for h in none_sim.handles])
+        merged = MetricsCollector.merged([h.metrics for h in none_sim.handles])
         assert _p99_with_lost(merged.t2ft_samples, lost) == float("inf")
 
     def test_retried_requests_measure_from_first_submission(self, crash_runs):
         (sim, _), _ = crash_runs
-        merged = MetricsCollector.merged([h.replica.metrics for h in sim.handles])
+        merged = MetricsCollector.merged([h.metrics for h in sim.handles])
         # Every arrival predates the crash; a retried request's first
         # token lands only after detection, so its T2FT absorbs the
         # failure penalty rather than resetting at re-admission.
