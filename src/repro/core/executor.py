@@ -502,6 +502,20 @@ class StageExecutor:
         if n_committed > 0:
             self._router.route_batch(pricing.total_tokens, n_committed)
 
+    def replay_decode_run(self, pricing: DecodeRunPricing, n_stages: int) -> None:
+        """Advance the gating RNG over ``n_stages`` more stages of a run.
+
+        The continuation of a run whose first commit was rewound to its
+        committed prefix (:meth:`rewind_decode_run`): the stream sits
+        there, and drawing the next ``n_stages`` rows again (batched rows
+        come out in stream order) leaves it where that many more scalar
+        stages would.
+        """
+        if pricing.rng_state is None:
+            return
+        assert self._router is not None
+        self._router.route_batch(pricing.total_tokens, n_stages)
+
     def _run_luts(self, max_count: int) -> tuple:
         """Count-indexed expert price LUTs covering ``0..max_count``.
 

@@ -910,7 +910,7 @@ class ClusterSimulator:
         if sample_interval_s is not None and sample_interval_s <= 0:
             raise ConfigError("sample_interval_s must be positive (or None to disable)")
         self.source, self._worst_seq = resolve_source(workload, seed, worst_case_tokens)
-        if getattr(self.source, "closed_loop", False):
+        if self.source.closed_loop:
             raise ConfigError("cluster simulation needs an open-loop request source")
         self.system = system
         self.model = model

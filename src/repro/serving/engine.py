@@ -32,7 +32,7 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from repro.core.executor import StageExecutor, StageResult, StageWorkload
+from repro.core.executor import DecodeRunPricing, StageExecutor, StageResult, StageWorkload
 from repro.errors import ConfigError, SchedulingError
 from repro.serving.metrics import (
     _COMPUTE_KEYS,
@@ -492,6 +492,12 @@ class ServingEngine:
         #: pre-truncation estimate (runs start outside straggler windows,
         #: and a prefill stage's latency says nothing about decode stages).
         self._last_decode_latency_s = 0.0
+        #: The last priced steady run, if stages of it are left uncommitted
+        #: (the driving loop's horizon came first): (pricing, clock
+        #: boundaries, stages committed).  A run attempt at the clock it
+        #: reached commits more of it instead of pricing again; the next
+        #: scalar stage drops it.
+        self._held_run: tuple[DecodeRunPricing, np.ndarray, int] | None = None
         self.metrics = metrics if metrics is not None else MetricsCollector()
         self.label = label
         self.record_idle = record_idle
@@ -565,6 +571,9 @@ class ServingEngine:
             admit: run admission inside stage construction (default); the
                 split prefill partition admits separately at decode time.
         """
+        # Any change to the batch goes through a scalar stage, so a held
+        # run never outlives the batch it priced.
+        self._held_run = None
         if self.budget_spent(limits):
             return False
         scheduler = self.scheduler
@@ -710,11 +719,19 @@ class ServingEngine:
         clock trajectory, the metrics accumulators, and the gating RNG
         stream all land bit-identical to stepping the same stages
         scalar-wise: the caps below guarantee a run never straddles the
-        warm-up gate, the stage budget, the first in-batch completion, or
-        (via ``horizon_s`` / ``sim_time_s``) the driving loop's stopping
-        rules.  A run is priced only when its first stage starts before
-        the threshold, and every priced run commits, down to a single
-        stage (the scalar stage bit for bit).
+        warm-up gate, the stage budget, or the first in-batch completion.
+
+        A run is sized by the engine's own threshold (the next arrival,
+        paging landing or straggler-window edge) and commits the stages
+        that start before it and before the driving loop's ``horizon_s``;
+        ``sim_time_s`` applies :meth:`run`'s stopping rule.  A run is
+        priced only when its first stage starts before both, and every
+        priced run commits, down to a single stage (the scalar stage bit
+        for bit).  Stages left past the horizon are held: while the batch
+        stays unchanged, the next attempt at the clock the run reached
+        commits more of them instead of pricing the batch again — a fleet
+        replica prices a run once across the cluster's routing horizons.
+        Whenever this returns, the gating RNG sits at the committed stage.
         """
         if (
             not self.columnar
@@ -745,68 +762,82 @@ class ServingEngine:
             if profile.scale_at(now) != 1.0:
                 return 0
             threshold = min(threshold, profile.next_change_s(now))
-        if horizon_s is not None:
-            threshold = min(threshold, horizon_s)
-        if threshold <= now:
+        stop = threshold if horizon_s is None else min(threshold, horizon_s)
+        if stop <= now:
             # An arrival or landing is already due: the scalar stage admits
             # it.  Past this check the first stage starts before the
             # threshold, so every priced run commits at least one stage.
             return 0
-        cap = min(scheduler.steady_min_remaining(), _RUN_CAP)
         stages = self.stages
         warmup = limits.warmup_stages
-        if stages < warmup:
-            cap = min(cap, warmup - stages)  # runs never straddle warm-up
-        if not self.budget_exempt:
-            cap = min(
-                cap,
-                limits.max_stages - self.measured,
-                warmup + limits.max_stages - stages,
-            )
-        if threshold != float("inf") and self._last_decode_latency_s > 0.0:
-            # Cheap pre-truncation so a near-threshold attempt does not
-            # price stages that cannot fit (any cap is exact — this only
-            # sizes the batch, the searchsorted below decides membership).
-            estimate = int((threshold - now) / self._last_decode_latency_s) + 2
-            cap = min(cap, estimate)
-        pricing = price_run(scheduler.steady_context_base(), cap)
-        if pricing is None:
-            return 0
-        # boundaries[k] is the clock after stage k; the seeded cumulative
-        # sum reproduces the scalar `now_s += latency` chain bit for bit.
-        boundaries = np.concatenate(([now], pricing.latencies)).cumsum()
-        n = cap
-        if threshold != float("inf"):
+        held = self._held_run
+        if held is not None and held[1][held[2]] == now:
+            pricing, boundaries, start = held
+        else:
+            cap = min(scheduler.steady_min_remaining(), _RUN_CAP)
+            if stages < warmup:
+                cap = min(cap, warmup - stages)  # runs never straddle warm-up
+            if not self.budget_exempt:
+                cap = min(
+                    cap,
+                    limits.max_stages - self.measured,
+                    warmup + limits.max_stages - stages,
+                )
+            if threshold != float("inf") and self._last_decode_latency_s > 0.0:
+                # Cheap pre-truncation so a near-threshold attempt does not
+                # price stages that cannot fit (any cap is exact — this only
+                # sizes the batch, the searchsorted below decides
+                # membership).  The horizon does not size it: stages past
+                # the horizon are held, not thrown away.
+                estimate = int((threshold - now) / self._last_decode_latency_s) + 2
+                cap = min(cap, estimate)
+            pricing = price_run(scheduler.steady_context_base(), cap)
+            if pricing is None:
+                return 0
+            # boundaries[k] is the clock after stage k; the seeded
+            # cumulative sum reproduces the scalar `now_s += latency` chain
+            # bit for bit.
+            boundaries = np.concatenate(([now], pricing.latencies)).cumsum()
+            start = 0
+        end = pricing.n_stages
+        if stop != float("inf"):
             # A stage joins the run iff it *starts* strictly before the
             # threshold — at the threshold instant the scalar loop would
             # drain an arrival / land a resume at that stage boundary.
-            n = min(n, int(np.searchsorted(boundaries[:-1], threshold, side="left")))
+            end = min(end, int(np.searchsorted(boundaries[:-1], stop, side="left")))
         if sim_time_s is not None and stages >= warmup:
             # run() stops after the first stage whose *end* reaches the
             # simulated-time limit — that stage itself still executes.
-            n = min(n, int(np.searchsorted(boundaries[1:], sim_time_s, side="left")) + 1)
-        if n < cap:
-            self.executor.rewind_decode_run(pricing, n)
-        final_now = float(boundaries[n])
+            ends = boundaries[start + 1 :]
+            end = min(end, start + 1 + int(np.searchsorted(ends, sim_time_s, side="left")))
+        if start:
+            self.executor.replay_decode_run(pricing, end - start)
+        elif end < pricing.n_stages:
+            self.executor.rewind_decode_run(pricing, end)
+        self._held_run = (pricing, boundaries, end) if end < pricing.n_stages else None
+        n = end - start
+        final_now = float(boundaries[end])
         decode_tokens = len(scheduler.running)
+        # A full batch may have queued arrivals meanwhile: leave them where
+        # the per-stage admissions would, as of the last stage's start.
+        scheduler.queue_arrivals(float(boundaries[end - 1]))
         finished = scheduler.commit_steady_run(n, final_now)
         self.stages += n
-        self._last_decode_latency_s = float(pricing.latencies[n - 1])
+        self._last_decode_latency_s = float(pricing.latencies[end - 1])
         # No straddling: the whole run is measured, or none of it is.
         in_window = stages >= warmup
         if in_window:
             self.measured += n
-            truncate = n < cap
             components = [
-                (_DRAM_KEYS[category], joules[:n] if truncate else joules)
+                (_DRAM_KEYS[category], joules[start:end])
                 for category, joules in zip(pricing.categories, pricing.dram, strict=True)
             ]
             components += [
-                (_COMPUTE_KEYS[category], joules[:n] if truncate else joules)
+                (_COMPUTE_KEYS[category], joules[start:end])
                 for category, joules in zip(pricing.categories, pricing.compute, strict=True)
             ]
             self.metrics.record_decode_run(
-                latencies=pricing.latencies[:n] if truncate else pricing.latencies,
+                latencies=pricing.latencies[start:end],
                 decode_tokens=decode_tokens,
                 energy_components=components,
                 comm_energy_per_stage_j=pricing.comm_energy_j,

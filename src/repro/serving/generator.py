@@ -35,6 +35,11 @@ class RequestSource(Protocol):
     from ``peek`` and infinity from ``peek_arrival``.
     """
 
+    @property
+    def closed_loop(self) -> bool:
+        """True when a fresh request is always ready (unbounded supply)."""
+        ...
+
     def peek(self) -> Request | None:
         """The next request, or None when the source is exhausted."""
         ...

@@ -62,6 +62,19 @@ class SchedulingPolicy(ABC):
 
     name: ClassVar[str] = "policy"
 
+    @property
+    def queue_ignores_clock(self) -> bool:
+        """Whether :meth:`shed` and :meth:`order_waiting` ignore ``now_s``.
+
+        When they do, the queue a full batch builds up comes out the same
+        whether the scheduler sheds and orders it at every stage boundary
+        or once at the last one, so the scheduler keeps a full batch on
+        the steady-run fast path while requests queue.  The base class's
+        do-nothing hooks ignore it; a subclass whose hooks read the clock
+        must return False.
+        """
+        return True
+
     def order_waiting(self, waiting: list[Request], now_s: float) -> None:
         """Reorder the arrived-but-not-admitted queue in place."""
 
@@ -172,6 +185,12 @@ class SloAwarePolicy(SchedulingPolicy):
         self.shed_expired = shed_expired
         self.prefer_short_inputs = prefer_short_inputs
         self.preemption_guard_s = preemption_guard_s
+
+    @property
+    def queue_ignores_clock(self) -> bool:
+        # The deadline sort is a total order fixed at arrival; only expiry
+        # shedding reads the clock.
+        return not self.shed_expired
 
     def deadline(self, request: Request) -> float:
         slo = request.t2ft_slo_s if request.t2ft_slo_s is not None else self.t2ft_slo_s

@@ -211,12 +211,7 @@ class ContinuousBatchingScheduler:
         """
         if self.paging is not None:
             self._paging_boundary()
-        self._drain_arrivals()
-        if self.waiting:  # policies only shed/order what is actually queued
-            for request in self.policy.shed(self.waiting, self.now_s):
-                self.waiting.remove(request)
-                self.rejected.append(request)
-            self.policy.order_waiting(self.waiting, self.now_s)
+        self.queue_arrivals(self.now_s)
         resuming = self.paging.in_transit_count if self.paging is not None else 0
         while len(self.running) + resuming < self.max_batch:
             candidate = self.waiting[0] if self.waiting else self._peek_source()
@@ -492,17 +487,29 @@ class ContinuousBatchingScheduler:
         """Requests out of the batch because of paging (0 without paging)."""
         return self.paging.paged_count if self.paging is not None else 0
 
-    def _drain_arrivals(self) -> None:
-        """Move every arrived request into the waiting queue.
+    def queue_arrivals(self, now_s: float) -> None:
+        """Move every request arrived by ``now_s`` into the waiting queue,
+        then let the policy shed and order it.
+
+        :meth:`admit` runs this at every stage boundary; the engine runs
+        it once per steady run, at the run's last stage start.  Only a
+        full batch under a policy whose hooks ignore the clock runs while
+        requests arrive (see :meth:`steady_run_threshold`), and it admits
+        nothing meanwhile, so the source and the queue end exactly where
+        the per-stage admissions would leave them.
 
         Closed-loop sources have an unbounded supply — a fresh request is
         ready the moment a slot frees — so there is no queue to drain;
         admission peeks them directly.
         """
-        if getattr(self.source, "closed_loop", False):
-            return
-        while self.source.has_request_at(self.now_s):
-            self.waiting.append(self.source.take(self.now_s))
+        if not self.source.closed_loop:
+            while self.source.has_request_at(now_s):
+                self.waiting.append(self.source.take(now_s))
+        if self.waiting:  # policies only shed/order what is actually queued
+            for request in self.policy.shed(self.waiting, now_s):
+                self.waiting.remove(request)
+                self.rejected.append(request)
+            self.policy.order_waiting(self.waiting, now_s)
 
     def _peek_source(self) -> Request | None:
         # Peeking forces the lazily materialised request so its lengths are
@@ -599,10 +606,10 @@ class ContinuousBatchingScheduler:
         """Latest-exclusive start time up to which decode stages are steady.
 
         A *steady run* is a sequence of stages over which admission is a
-        guaranteed no-op: the whole batch decodes, nothing is waiting, and
-        no arrival, paging landing, or parked-resume can change membership
-        before the returned instant.  Returns None when the next stage is
-        not provably steady (the engine falls back to one scalar stage);
+        guaranteed no-op: the whole batch decodes, and no arrival, paging
+        landing, or parked-resume can change membership before the
+        returned instant.  Returns None when the next stage is not
+        provably steady (the engine falls back to one scalar stage);
         otherwise every stage whose *start* time is strictly before the
         threshold is safe to collapse into a vectorized run.
 
@@ -610,12 +617,20 @@ class ContinuousBatchingScheduler:
         time-invariant: a full batch stays full and an over-capacity
         parked head stays parked until the first completion — and runs
         are capped at ``min_remaining`` so completions only ever land on
-        a run's final stage.  The steady state survives finished prefills
-        and completions (see :meth:`complete_stage`), so a run can start
-        at the first stage after either; a threshold at or before
-        ``now_s`` means an arrival or landing is already due.
+        a run's final stage.  Admission, parked-head resumes and
+        preemption all need a free slot, so a full batch may run while
+        requests queue, as long as the policy's ``shed`` and
+        ``order_waiting`` ignore the clock
+        (:attr:`~repro.serving.policy.SchedulingPolicy.queue_ignores_clock`);
+        arrivals then do not bound the run, and the engine queues them
+        with :meth:`queue_arrivals` before committing it.  Otherwise
+        nothing may be waiting and the next arrival bounds the run.  The
+        steady state survives finished prefills and completions (see
+        :meth:`complete_stage`), so a run can start at the first stage
+        after either; a threshold at or before ``now_s`` means an arrival
+        or landing is already due.
         """
-        if not self._steady or self._steady_ctx is None or not self.running or self.waiting:
+        if not self._steady or self._steady_ctx is None or not self.running:
             return None
         paging = self.paging
         threshold = float("inf")
@@ -623,18 +638,21 @@ class ContinuousBatchingScheduler:
             len(self.running) + (paging.in_transit_count if paging is not None else 0)
             >= self.max_batch
         )
+        queue_frozen = batch_full and self.policy.queue_ignores_clock
+        if self.waiting and not queue_frozen:
+            return None
         if paging is not None:
             head = paging.peek_parked()
             if head is not None and not batch_full and self._parked_head_fits(head):
                 return None  # a parked victim would resume right now
             threshold = paging.next_ready_s()
-        if getattr(self.source, "closed_loop", False):
+        if self.source.closed_loop:
             # Closed-loop sources always have a request ready (peek_arrival
             # is 0.0, not a future instant): steady only while the batch is
             # full, and then with no time bound from arrivals.
             if not batch_full:
                 return None
-        else:
+        elif not queue_frozen:
             threshold = min(threshold, self.source.peek_arrival())
         return threshold
 

@@ -127,8 +127,7 @@ class ServingSimulator:
             self.scheduler, self.executor, label=system.name, columnar=columnar
         )
         self.engine.metrics.effective_batch = self.effective_batch
-        closed_loop = bool(getattr(self.source, "closed_loop", False))
-        self.warm_start = closed_loop if warm_start is None else warm_start
+        self.warm_start = self.source.closed_loop if warm_start is None else warm_start
 
     @property
     def generator(self) -> RequestSource:

@@ -1,6 +1,6 @@
 """Columnar engine core: unit tests and the columnar↔scalar oracle suite.
 
-Three layers (tier 1 — see TESTING.md):
+Four layers (tier 1 — see TESTING.md):
 
 * unit tests for the struct-of-arrays :class:`RequestTable` (slot
   recycling, growth, lazy refresh, vectorized advance) and the
@@ -18,7 +18,12 @@ Three layers (tier 1 — see TESTING.md):
   completions and runs, audited against the object layer on the same
   configurations (both oracle arms share the scheduler, so the oracle
   alone cannot see a wrong carried context), and regression tests that
-  no run is priced unless it commits.
+  no run is priced unless it commits;
+* held runs and full-batch runs: a run sliced by the driving loop's
+  horizons is priced once and equals the scalar twin after every slice,
+  a full batch runs over a growing queue and leaves it where the scalar
+  loop does, and a fleet-level oracle (an elastic and a crash-and-retry
+  fleet) requires the scalar fleet's report and trajectories.
 """
 
 from __future__ import annotations
@@ -38,13 +43,22 @@ from repro.core.executor import StageExecutor  # noqa: E402
 from repro.core.system import duplex_system  # noqa: E402
 from repro.errors import ConfigError, SchedulingError  # noqa: E402
 from repro.models.config import mixtral  # noqa: E402
+from repro.serving.autoscaler import ElasticFleetSimulator, QueueDepthPolicy  # noqa: E402
+from repro.serving.cluster import ClusterSimulator  # noqa: E402
 from repro.serving.columnar import EventClock, RequestTable  # noqa: E402
 from repro.serving.engine import ServingEngine, SimulationLimits  # noqa: E402
+from repro.serving.faults import FaultConfig, FaultInjector, RetryPolicy  # noqa: E402
 from repro.serving.generator import QueueSource, WorkloadSpec  # noqa: E402
 from repro.serving.paging import EvictionPolicy, PagingConfig  # noqa: E402
+from repro.serving.policy import (  # noqa: E402
+    ChunkedPrefillPolicy,
+    FcfsPolicy,
+    SloAwarePolicy,
+)
 from repro.serving.request import Request, RequestState  # noqa: E402
 from repro.serving.scheduler import ContinuousBatchingScheduler  # noqa: E402
 from repro.serving.simulator import ServingSimulator  # noqa: E402
+from repro.serving.trace import TraceRecord, TraceReplayGenerator  # noqa: E402
 
 from test_invariants import CONFIGURATIONS, spec_strategy  # noqa: E402
 
@@ -332,18 +346,33 @@ def test_carried_steady_context_matches_object_layer_under_paging_pressure(polic
 # ----------------------------------------------------------------------
 # no run is priced unless it commits
 # ----------------------------------------------------------------------
-def _steady_engine():
+def _steady_engine(columnar: bool = True):
     """An open-loop engine whose three requests have prefilled and decoded
     one stage: steady, with nothing left to arrive."""
     source = QueueSource()
     for rid in range(3):
         source.push(Request(request_id=rid, arrival_time_s=0.0, input_len=64, output_len=40))
     scheduler = ContinuousBatchingScheduler(source, max_batch=4)
-    engine = ServingEngine(scheduler, StageExecutor(SYSTEM, MODEL, seed=0))
+    engine = ServingEngine(scheduler, StageExecutor(SYSTEM, MODEL, seed=0), columnar=columnar)
     limits = SimulationLimits(max_stages=200, warmup_stages=0)
     assert engine.step(limits) and engine.step(limits)
     assert scheduler.steady_run_threshold() == float("inf")
     return engine, source, limits
+
+
+def _engine_state(engine):
+    """Everything a stage changes: clock, counters, report, RNG, batch."""
+    return (
+        engine.now_s,
+        engine.stages,
+        engine.measured,
+        engine.metrics.report(),
+        engine.executor._router.state_snapshot(),
+        [
+            (r.request_id, r.state, r.context_len, r.tokens_generated)
+            for r in engine.scheduler.running
+        ],
+    )
 
 
 def _count_pricing(executor) -> list[int]:
@@ -382,21 +411,10 @@ def test_one_stage_run_equals_the_scalar_stage():
     # Priced past the arrival, then rewound to the one committed stage.
     assert len(priced) == 1 and priced[0] > 1
     assert step_engine.step(limits)
-
-    def state(engine):
-        return (
-            engine.stages,
-            engine.measured,
-            engine.now_s,
-            engine.metrics.report(),
-            engine.executor._router.state_snapshot(),
-            [(r.request_id, r.context_len, r.tokens_generated) for r in engine.scheduler.running],
-        )
-
-    assert state(run_engine) == state(step_engine)
+    assert _engine_state(run_engine) == _engine_state(step_engine)
     run_engine.drain(limits)
     step_engine.drain(limits)
-    assert state(run_engine) == state(step_engine)
+    assert _engine_state(run_engine) == _engine_state(step_engine)
     assert run_engine.finished_ids == step_engine.finished_ids
 
 
@@ -423,3 +441,280 @@ def test_every_priced_run_commits_on_an_open_loop_run():
     runs = events.count("price")
     assert runs >= 40
     assert events == ["price", "commit"] * runs
+
+
+# ----------------------------------------------------------------------
+# held runs: one pricing across the driving loop's horizons
+# ----------------------------------------------------------------------
+def test_held_run_prices_once_across_horizons():
+    """Three horizons inside one steady run price it once, and each slice
+    leaves the engine exactly where the scalar loop would."""
+    engine, _, limits = _steady_engine()
+    twin, _, _ = _steady_engine(columnar=False)
+    priced = _count_pricing(engine.executor)
+    start = engine.now_s
+    for k in (1, 2, 3):
+        engine.advance_to(start + 0.02 * k, limits)
+        twin.advance_to(start + 0.02 * k, limits)
+        assert _engine_state(engine) == _engine_state(twin)
+    # Sized by the batch's first completion (38 decode stages left), not
+    # by the first horizon; the three slices stop short of its end.
+    assert priced == [38]
+    assert engine.stages < 2 + 38
+
+
+def test_routed_arrival_drops_the_held_run():
+    """An arrival routed between two slices is admitted by a scalar stage,
+    not run over by the held pricing."""
+    engine, source, limits = _steady_engine()
+    twin, twin_source, _ = _steady_engine(columnar=False)
+    priced = _count_pricing(engine.executor)
+    horizon = engine.now_s + 0.02
+    engine.advance_to(horizon, limits)
+    twin.advance_to(horizon, limits)
+    assert _engine_state(engine) == _engine_state(twin)
+    for queue in (source, twin_source):
+        queue.push(Request(request_id=3, arrival_time_s=horizon, input_len=64, output_len=40))
+    assert engine._attempt_steady_run(limits, horizon_s=horizon + 0.02) == 0
+    assert priced == [38]
+    assert engine.step(limits) and twin.step(limits)
+    assert engine.scheduler.admitted_log == [0, 1, 2, 3]
+    assert _engine_state(engine) == _engine_state(twin)
+    engine.advance_to(horizon + 0.02, limits)
+    twin.advance_to(horizon + 0.02, limits)
+    assert _engine_state(engine) == _engine_state(twin)
+    engine.drain(limits)
+    twin.drain(limits)
+    assert _engine_state(engine) == _engine_state(twin)
+    assert engine.finished_ids == twin.finished_ids
+    assert len(priced) > 1  # the grown batch priced runs of its own
+
+
+# ----------------------------------------------------------------------
+# a full batch stays steady while its queue grows
+# ----------------------------------------------------------------------
+def _queued_scheduler(policy, max_batch: int, capacity_tokens: int | None = None):
+    """Two decoding requests and one queued behind them, with a later
+    arrival still in the source."""
+    source = QueueSource()
+    for rid in range(3):
+        source.push(Request(request_id=rid, arrival_time_s=0.0, input_len=64, output_len=40))
+    scheduler = ContinuousBatchingScheduler(
+        source, max_batch=max_batch, capacity_tokens=capacity_tokens, policy=policy
+    )
+    engine = ServingEngine(scheduler, StageExecutor(SYSTEM, MODEL, seed=0))
+    limits = SimulationLimits(max_stages=200, warmup_stages=0)
+    assert engine.step(limits) and engine.step(limits)
+    assert len(scheduler.running) == 2 and len(scheduler.waiting) == 1
+    source.push(Request(request_id=3, arrival_time_s=1.0, input_len=64, output_len=40))
+    return scheduler
+
+
+POLICIES = {
+    "fcfs": FcfsPolicy,
+    "chunked-prefill": ChunkedPrefillPolicy,
+    "slo-keep-expired": lambda: SloAwarePolicy(t2ft_slo_s=1.0, shed_expired=False),
+    "slo-shed-expired": lambda: SloAwarePolicy(t2ft_slo_s=1.0),
+}
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+def test_full_batch_with_a_queue_is_steady_unless_the_policy_reads_the_clock(policy):
+    scheduler = _queued_scheduler(POLICIES[policy](), max_batch=2)
+    threshold = scheduler.steady_run_threshold()
+    if policy == "slo-shed-expired":
+        assert threshold is None  # an expiry could shed mid-run
+    else:
+        assert threshold == float("inf")  # the queued arrival bounds nothing
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+def test_a_free_slot_keeps_a_queued_batch_scalar(policy):
+    # Room for two requests' KV under a batch of three: the slot is free.
+    scheduler = _queued_scheduler(POLICIES[policy](), max_batch=3, capacity_tokens=2 * 104)
+    assert scheduler.steady_run_threshold() is None
+
+
+FULL_LIMITS = SimulationLimits(max_stages=60_000, warmup_stages=0)
+
+
+def _record_commits(scheduler) -> list[tuple[int, int]]:
+    """Record (stages, queue length) of every run the scheduler commits."""
+    commits: list[tuple[int, int]] = []
+    commit = scheduler.commit_steady_run
+
+    def recording(n_stages, final_now_s):
+        commits.append((n_stages, len(scheduler.waiting)))
+        return commit(n_stages, final_now_s)
+
+    scheduler.commit_steady_run = recording
+    return commits
+
+
+def _stopped_full_replica(stop_s: float, columnar: bool):
+    """One FCFS replica of batch 4 under 60 x 512/200 requests at 5 ms
+    spacing, routed and advanced to ``stop_s``: a full batch with a
+    growing queue.  Returns the handle and the (stages, queue length) of
+    every run commit."""
+    trace = TraceReplayGenerator(
+        [TraceRecord(arrival_s=0.005 * i, input_len=512, output_len=200) for i in range(60)]
+    )
+    sim = ClusterSimulator(SYSTEM, MODEL, trace, n_replicas=1, max_batch=4, seed=1)
+    handle = sim.handles[0]
+    (engine,) = handle.engines
+    engine.columnar = columnar
+    commits = _record_commits(engine.scheduler)
+    sim._begin_run(FULL_LIMITS)
+    while sim.source.peek_arrival() <= stop_s:
+        sim._route_arrival(sim.source.peek_arrival(), FULL_LIMITS)
+    handle.driver.advance_to(stop_s, FULL_LIMITS)
+    return handle, commits
+
+
+@pytest.mark.parametrize("stop_s", [0.12, 0.2])
+def test_full_batch_runs_leave_the_queue_where_the_scalar_loop_does(stop_s):
+    handle, commits = _stopped_full_replica(stop_s, columnar=True)
+    twin, _ = _stopped_full_replica(stop_s, columnar=False)
+    assert any(n > 1 and queued for n, queued in commits)
+
+    def queues(h):
+        return len(h.inbox), len(h.engines[0].scheduler.waiting)
+
+    assert queues(handle) == queues(twin)
+    assert queues(handle)[1] > 0
+    assert _engine_state(handle.engines[0]) == _engine_state(twin.engines[0])
+
+    def ids(harvest):
+        queued, active, parked = harvest
+        return (
+            [r.request_id for r in queued],
+            [r.request_id for r in active],
+            [r.request_id for r, _ in parked],
+        )
+
+    assert ids(handle.harvest_in_flight()) == ids(twin.harvest_in_flight())
+
+
+def test_full_batch_run_orders_the_queue_as_the_scalar_loop_does():
+    """Under deadline ordering, the arrivals a full-batch run queues come
+    out in the order the scalar loop's per-stage sorts leave them."""
+
+    def build(columnar: bool):
+        source = QueueSource()
+        for rid in range(2):
+            source.push(Request(request_id=rid, arrival_time_s=0.0, input_len=64, output_len=40))
+        scheduler = ContinuousBatchingScheduler(
+            source, max_batch=2, policy=SloAwarePolicy(t2ft_slo_s=1.0, shed_expired=False)
+        )
+        engine = ServingEngine(
+            scheduler, StageExecutor(SYSTEM, MODEL, seed=0), columnar=columnar
+        )
+        limits = SimulationLimits(max_stages=200, warmup_stages=0)
+        assert engine.step(limits) and engine.step(limits)
+        # Later arrivals carry tighter SLOs, so each overtakes the last.
+        for rid in range(2, 8):
+            source.push(
+                Request(
+                    request_id=rid,
+                    arrival_time_s=engine.now_s + 0.001 * rid,
+                    input_len=64,
+                    output_len=40,
+                    t2ft_slo_s=1.0 / rid,
+                )
+            )
+        return engine, limits
+
+    engine, limits = build(columnar=True)
+    twin, _ = build(columnar=False)
+    commits = _record_commits(engine.scheduler)
+    horizon = engine.now_s + 0.02
+    engine.advance_to(horizon, limits)
+    twin.advance_to(horizon, limits)
+    assert any(n > 1 and queued for n, queued in commits)
+    assert _engine_state(engine) == _engine_state(twin)
+    queue = [r.request_id for r in engine.scheduler.waiting]
+    assert queue == [r.request_id for r in twin.scheduler.waiting] == [7, 6, 5, 4, 3, 2]
+
+
+# ----------------------------------------------------------------------
+# fleet columnar <-> scalar oracle
+# ----------------------------------------------------------------------
+FLEET_LIMITS = SimulationLimits(max_stages=50_000, warmup_stages=4)
+
+
+def _phased_trace(seed: int, phases) -> TraceReplayGenerator:
+    """Uniform arrivals at each phase's rate, lengths drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    records = []
+    start = 0.0
+    for duration_s, qps in phases:
+        for t in np.sort(rng.uniform(start, start + duration_s, int(duration_s * qps))):
+            records.append(
+                TraceRecord(
+                    arrival_s=float(t),
+                    input_len=int(rng.integers(128, 1024)),
+                    output_len=int(rng.integers(16, 160)),
+                )
+            )
+        start += duration_s
+    return TraceReplayGenerator(records)
+
+
+def _elastic_fleet(seed: int):
+    """``fleet_elastic`` in miniature: queue-depth scaling from one to
+    three batch-8 FCFS replicas through a burst."""
+    return ElasticFleetSimulator(
+        SYSTEM, MODEL, _phased_trace(seed, ((1.0, 20.0), (0.5, 120.0), (1.0, 20.0))),
+        policy=QueueDepthPolicy(scale_up_depth=2.0, scale_down_depth=0.25, cooldown_s=0.25),
+        min_replicas=1, max_replicas=3, control_interval_s=0.25,
+        provision_delay_s=0.25, warmup_delay_s=0.25, max_batch=8, seed=seed,
+    )
+
+
+def _crashing_fleet(seed: int):
+    """Three batch-8 FCFS replicas; replica 1 crashes and its requests
+    retry on the others."""
+    return ClusterSimulator(
+        SYSTEM, MODEL, _phased_trace(seed, ((1.5, 70.0),)), n_replicas=3, max_batch=8,
+        seed=seed, retry=RetryPolicy(max_attempts=3),
+        faults=FaultInjector(
+            FaultConfig(crash_times=((0.6, 1),), crash_mttr_s=0.5, detection_latency_s=0.1)
+        ),
+    )
+
+
+FLEETS = {"elastic": _elastic_fleet, "crash-retry": _crashing_fleet}
+
+
+@pytest.mark.invariants
+@pytest.mark.parametrize("fleet", sorted(FLEETS))
+@given(seed=st.integers(min_value=0, max_value=2**16))
+def test_fleet_columnar_matches_scalar_oracle(fleet, seed):
+    """Held runs across routing horizons and full-batch runs over a queue
+    reproduce the scalar fleet: same report, same per-engine trajectory.
+    The scalar arm patches the engine class, so replicas the autoscaler
+    builds mid-run are scalar too."""
+    counts: Counter[str] = Counter()
+    replay = StageExecutor.replay_decode_run
+    commit = ContinuousBatchingScheduler.commit_steady_run
+
+    def replay_decode_run(self, pricing, n_stages):
+        counts["held"] += 1
+        return replay(self, pricing, n_stages)
+
+    def commit_steady_run(self, n_stages, final_now_s):
+        if self.waiting:
+            counts["queued"] += 1
+        return commit(self, n_stages, final_now_s)
+
+    with mock.patch.object(
+        StageExecutor, "replay_decode_run", replay_decode_run
+    ), mock.patch.object(ContinuousBatchingScheduler, "commit_steady_run", commit_steady_run):
+        fast = FLEETS[fleet](seed)
+        fast_report = fast.run(FLEET_LIMITS)
+    with mock.patch.object(ServingEngine, "_attempt_steady_run", return_value=0):
+        oracle = FLEETS[fleet](seed)
+        oracle_report = oracle.run(FLEET_LIMITS)
+    assert counts["held"] > 0 and counts["queued"] > 0
+    assert fast_report == oracle_report
+    assert _trajectory(fast_report, fast.engines) == _trajectory(oracle_report, oracle.engines)

@@ -64,7 +64,7 @@ class RecordingSource:
 
     @property
     def closed_loop(self) -> bool:
-        return bool(getattr(self._inner, "closed_loop", False))
+        return self._inner.closed_loop
 
     def take(self, now_s: float) -> Request:
         request = self._inner.take(now_s)
