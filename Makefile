@@ -6,7 +6,7 @@
 PYTHON ?= python
 PYTEST := PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test fast slow simlint simlint-baseline lint typecheck check
+.PHONY: test fast slow identity simlint simlint-baseline lint typecheck check
 
 test:  ## tier-1 gate: the whole unit/integration + benchmark suite
 	$(PYTEST) -x -q
@@ -16,6 +16,11 @@ fast:  ## CI fast stage: tests without the figure benchmarks
 
 slow:  ## CI slow stage entry: benchmarks only (goldens, sweeps)
 	$(PYTEST) benchmarks -x -q
+
+identity:  ## outputs byte-identical to the checkout: regenerate goldens and figure tables, diff
+	$(PYTEST) tests/golden -q --update-golden
+	$(PYTEST) benchmarks -x -q
+	git diff --exit-code tests/golden/ benchmarks/results/
 
 simlint:  ## determinism linter over the serving stack (CI simlint job)
 	$(PYTHON) -m tools.simlint src tests

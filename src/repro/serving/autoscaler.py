@@ -113,12 +113,9 @@ class FleetView:
     def scaling_pool(self) -> int:
         """Replicas a scaling decision counts: booting or serving.
 
-        DRAINING replicas are already on their way out, RETIRED ones are
-        gone, and FAILED ones serve nothing until repaired — so a
-        policy's target is compared against ``provisioning + warming +
-        active``, and a crash shrinks the pool until the policy
-        provisions a replacement (or the health checker repairs in
-        place).
+        DRAINING replicas are already on their way out and RETIRED ones
+        are gone, so a policy's target is compared against
+        ``provisioning + warming + active``.
         """
         return self.provisioning + self.warming + self.active
 
@@ -532,14 +529,6 @@ class ElasticFleetSimulator(ClusterSimulator):
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def _expects_new_capacity(self) -> bool:
-        # While arrivals are still being routed, the policy can provision
-        # replacements at any future control tick — a total outage defers
-        # work to the recovery queue instead of losing it, even with no
-        # boot or repair currently scheduled.  During the final drain no
-        # scaling decisions fire, so only concrete restore instants count.
-        return super()._expects_new_capacity() or not self._drain_phase
-
     def _update_lifecycle(self, t: float, limits: SimulationLimits) -> None:
         """Advance replica lifecycles to virtual time ``t``.
 
@@ -570,22 +559,10 @@ class ElasticFleetSimulator(ClusterSimulator):
                     # The replica's virtual clock starts at activation — it
                     # did not exist (as serving capacity) before.
                     handle.jump_to(handle.active_at)
-                    if self.faults is not None:
-                        # A replacement coming online ends the oldest open
-                        # outage (capacity is restored even if the crashed
-                        # replica itself never repairs) and becomes a
-                        # crash candidate in its own right.
-                        self._close_outage(handle.active_at)
-                        self._arm_crash(handle, handle.active_at)
         if not self._draining:
             return
         still_draining: list[ManagedReplica] = []
         for handle in self._draining:
-            if handle.state is not ReplicaState.DRAINING:
-                # Crashed mid-drain (DRAINING -> FAILED): the health
-                # checker harvested its work; recovery owns it now, and
-                # its frozen clock must not be advanced past the crash.
-                continue
             handle.driver.drain_until(self._capped(handle, t), limits)
             if not handle.has_work or handle.budget_spent(limits):
                 # Stamped at the control-plane observation instant (the

@@ -435,7 +435,7 @@ class ManagedReplica:
         engines: the engines in pipeline order — one engine, or
             ``(prefill, decode)``.  Each later engine's request source is
             fed by the engine before it.
-        driver: what advances the engines (``advance_to``, ``drain``,
+        driver: what advances the engines (``advance_to``,
             ``drain_until``): the engine itself, or the
             :class:`~repro.serving.split.SplitServingSimulator`.
         state: current lifecycle state.
@@ -1254,18 +1254,11 @@ class ClusterSimulator:
         self._close_outage(t, index)
         self._arm_crash(handle, t)
 
-    def _close_outage(self, t: float, index: int | None = None) -> None:
-        """Close ``index``'s outage (or the oldest open one) at ``t``."""
-        if not self._open_outages:
+    def _close_outage(self, t: float, index: int) -> None:
+        """Close ``index``'s outage at ``t``."""
+        pos = next((i for i, (idx, _) in enumerate(self._open_outages) if idx == index), None)
+        if pos is None:
             return
-        pos = 0
-        if index is not None:
-            pos = next(
-                (i for i, (idx, _) in enumerate(self._open_outages) if idx == index),
-                None,
-            )
-            if pos is None:
-                return
         _, crash_s = self._open_outages.pop(pos)
         self._unavailability_s += max(0.0, t - crash_s)
 
@@ -1350,9 +1343,6 @@ class ClusterSimulator:
             restore_s = self._capacity_restore_s()
             if restore_s < float("inf"):
                 self._push_retry(max(t, restore_s), request, cached, backoff_s, source_metrics)
-            elif self._expects_new_capacity():
-                step = self.sample_interval_s if self.sample_interval_s is not None else 1.0
-                self._push_retry(t + step, request, cached, backoff_s, source_metrics)
             else:
                 self._lost_requests.append(request)
             return
@@ -1425,11 +1415,9 @@ class ClusterSimulator:
         return False
 
     def _capacity_restore_s(self) -> float:
-        """Earliest known instant routable capacity returns (inf = never)."""
+        """Earliest known instant a crashed replica is repaired (inf =
+        never): a scheduled repair, or a pending detection plus MTTR."""
         best = float("inf")
-        for handle in self.handles:
-            if handle.state in (ReplicaState.PROVISIONING, ReplicaState.WARMING):
-                best = min(best, handle.active_at)
         mttr = self.faults.config.crash_mttr_s if self.faults is not None else None
         for te, _, kind, _ in self._fault_due:
             if kind == "repair":
@@ -1437,10 +1425,6 @@ class ClusterSimulator:
             elif mttr is not None:
                 best = min(best, te + mttr)
         return best
-
-    def _expects_new_capacity(self) -> bool:
-        """Whether routable capacity can plausibly return (defer vs lose)."""
-        return self._capacity_restore_s() < float("inf")
 
     def _handoff_queued(self, t: float, handle: ManagedReplica) -> None:
         """Re-route a retiring replica's queued-but-unadmitted requests.
@@ -1472,7 +1456,7 @@ class ClusterSimulator:
             advanceable = self._advanceable_handles()
             if advanceable and all(handle.budget_spent(limits) for handle in advanceable):
                 break
-            if not advanceable and not self._expects_new_capacity():
+            if not advanceable and self._capacity_restore_s() == float("inf"):
                 break  # the whole fleet is dead with no repair in sight
             if (
                 limits.target_completions is not None
@@ -1499,22 +1483,14 @@ class ClusterSimulator:
         request = self.source.take(arrival)
         candidates = self._routable_handles()
         if not candidates:
-            if self.faults is not None and self._expects_new_capacity():
-                # Total outage: hold the arrival in the recovery queue
-                # until capacity returns (free — never an attempt charge).
-                # With no concrete restore instant (an elastic fleet may
-                # only *provision* at a future control tick) re-poll on
-                # the control cadence, as _dispatch_retry does.
-                restore_s = self._capacity_restore_s()
-                if restore_s == float("inf"):
-                    step = self.sample_interval_s if self.sample_interval_s is not None else 1.0
-                    restore_s = arrival + step
-                self._push_retry(max(arrival, restore_s), request, -1, 0.0, None)
-                self._routed += 1
-                return
-            raise SimulationError(
-                "no ACTIVE replica to route to — the controller drained the whole fleet"
-            )
+            # Every replica crashed.  Hold the arrival in the recovery
+            # queue until one is repaired (free — never an attempt charge).
+            restore_s = self._capacity_restore_s()
+            if restore_s == float("inf"):
+                raise SimulationError("no ACTIVE replica to route to, and no repair in sight")
+            self._push_retry(max(arrival, restore_s), request, -1, 0.0, None)
+            self._routed += 1
+            return
         chosen = self._choose(candidates, request)
         chosen.route(request)
         self._routed += 1
@@ -1533,7 +1509,7 @@ class ClusterSimulator:
         self._drain_phase = True
         if self._next_control_s() == float("inf"):
             for handle in self._advanceable_handles():
-                handle.driver.drain(limits)
+                handle.driver.drain_until(float("inf"), limits)
             self._finish_drain(limits)
             return
         t = self._next_control_s()
@@ -1549,14 +1525,14 @@ class ClusterSimulator:
                 # The control calendar emptied (every armed crash either
                 # fired or fell beyond the simulated work): plain drain.
                 for handle in workers:
-                    handle.driver.drain(limits)
+                    handle.driver.drain_until(float("inf"), limits)
             else:
                 for handle in workers:
                     handle.driver.drain_until(self._capped(handle, t), limits)
                 self._control_tick(t, limits)
             t = self._next_control_s()
         for handle in self._advanceable_handles():
-            handle.driver.drain(limits)
+            handle.driver.drain_until(float("inf"), limits)
         self._finish_drain(limits)
 
     # ------------------------------------------------------------------

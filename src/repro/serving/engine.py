@@ -741,9 +741,8 @@ class ServingEngine:
             or self.budget_spent(limits)
         ):
             return 0
-        # Disqualify incapable executors before touching the scheduler: the
-        # threshold/min-remaining probes below cost a table refresh — too
-        # much to pay on every scalar step.
+        # Disqualify incapable executors before touching the scheduler:
+        # the threshold probe below is too much to pay on every scalar step.
         price_run = getattr(self.executor, "price_decode_run", None)
         if price_run is None:
             return 0
@@ -906,25 +905,16 @@ class ServingEngine:
             if target >= t:
                 break
 
-    def drain(self, limits: SimulationLimits) -> None:
-        """Finish everything queued here (until the stage budget runs out)."""
-        while not self.budget_spent(limits):
-            if self._attempt_steady_run(limits) or self.step(limits):
-                continue
-            next_event = self._next_event_s()
-            if next_event == float("inf"):
-                break
-            self.advance_to(next_event, limits)
-
     def drain_until(self, t: float, limits: SimulationLimits) -> None:
         """Drain work until the clock reaches ``t`` (stages may overshoot).
 
-        A time-sliced :meth:`drain`: a sequence of slices executes
-        exactly the stage sequence (and the same idle-gap recordings —
-        each gap advances to the same arrival instant) one :meth:`drain`
-        call would, stopping early only at the slice boundary.  The
-        cluster's cadence-sampled fleet drain depends on that
-        equivalence.  An arrival beyond ``t`` is left for a later slice.
+        ``t = inf`` finishes everything queued here (until the stage
+        budget runs out).  A sequence of slices executes exactly the
+        stage sequence (and the same idle-gap recordings — each gap
+        advances to the same arrival instant) one unbounded call would,
+        stopping early only at the slice boundary.  The cluster's
+        cadence-sampled fleet drain depends on that equivalence.  An
+        arrival beyond ``t`` is left for a later slice.
         """
         while self.now_s < t and not self.budget_spent(limits):
             if self._attempt_steady_run(limits, horizon_s=t) or self.step(limits):

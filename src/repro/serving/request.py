@@ -143,29 +143,6 @@ class Request:
         if self.is_complete:
             self.finish(now_s)
 
-    def advance_decode_run(self, n_stages: int, now_s: float) -> bool:
-        """``n_stages`` consecutive decoding stages, one token each.
-
-        Collapses a steady decode run into one mutation (the columnar
-        fast path).  Returns True when the run completed the request;
-        the caller guarantees ``n_stages`` never overshoots
-        ``output_len`` (the run is capped at the batch's minimum
-        remaining budget).
-        """
-        if self.state is not RequestState.DECODING:
-            raise SchedulingError(f"request {self.request_id}: decode from {self.state}")
-        if n_stages < 1 or self.tokens_generated + n_stages > self.output_len:
-            raise SchedulingError(
-                f"request {self.request_id}: decode run of {n_stages} with "
-                f"{self.output_len - self.tokens_generated} tokens remaining"
-            )
-        self.context_len += n_stages
-        self.tokens_generated += n_stages
-        if self.is_complete:
-            self.finish(now_s)
-            return True
-        return False
-
     def finish(self, now_s: float) -> None:
         self.state = RequestState.FINISHED
         self.completion_time_s = now_s

@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.core.executor import StageWorkload
 from repro.errors import CapacityError, ConfigError, SchedulingError
-from repro.serving.columnar import RequestTable
 from repro.serving.generator import RequestSource
 from repro.serving.paging import EvictionPolicy, PrefixIndex
 from repro.serving.policy import AdmissionView, FcfsPolicy, SchedulingPolicy
@@ -107,16 +106,12 @@ class ContinuousBatchingScheduler:
         # Steady-decode fast path: while everything in the batch decodes,
         # the next stage's composition is exactly the previous context
         # vector plus one — no re-partitioning, no per-request array
-        # rebuild.  A finished prefill or a completion re-derives it from
-        # the survivors (when they all decode); an admission, a resume
+        # rebuild.  The batch is steady exactly when this vector is set.
+        # A finished prefill or a completion re-derives it from the
+        # survivors (when they all decode); an admission, a resume
         # landing, a preemption, a release, or a request still prefilling
         # invalidates it.
-        self._steady = False
         self._steady_ctx: np.ndarray | None = None
-        #: Struct-of-arrays mirror of the in-flight batch (columnar core).
-        #: Rows are registered on admission and freed on exit; dynamic
-        #: columns resync lazily whenever a scalar stage dirtied them.
-        self.table = RequestTable(capacity=max(2 * max_batch, 8))
 
     # ------------------------------------------------------------------
     # stage construction
@@ -138,7 +133,7 @@ class ContinuousBatchingScheduler:
         if admit:
             self.admit()
         self._stage_chunks = {}
-        if self._steady and self._steady_ctx is not None and self.running:
+        if self._steady_ctx is not None and self.running:
             # Nothing joined since the last stage and everything decodes:
             # contexts are the carried vector plus one token each
             # (bit-identical to the rebuilt array — the carried vector is
@@ -153,7 +148,6 @@ class ContinuousBatchingScheduler:
         self._stage_decoding = decoding
         self._stage_prefilling = prefilling
         if not self.running:
-            self._steady = False
             self._steady_ctx = None
             return None
         # One pass over the batch partitions it by state (the engine reuses
@@ -166,12 +160,10 @@ class ContinuousBatchingScheduler:
                 prefilling.append(request)
         decode_ctx = np.array([r.context_len for r in decoding], dtype=np.int64)
         if prefilling:
-            self._steady = False
             self._steady_ctx = None
         else:
             # Candidate for the fast path: if this stage completes with no
             # exits, the next one is this composition shifted by +1.
-            self._steady = True
             self._steady_ctx = decode_ctx
         prefill_lengths: list[int] = []
         prefill_contexts: list[int] = []
@@ -290,11 +282,9 @@ class ContinuousBatchingScheduler:
                 self._prefix_admissions.append((hit_eff, declared - hit_eff))
             self.running.append(candidate)
             self.admitted_log.append(candidate.request_id)
-            self.table.add(candidate)
             self._committed_tokens += tokens
             if self.paging is not None:
                 self.paging.on_admit(candidate)
-            self._steady = False
             self._steady_ctx = None
 
     # ------------------------------------------------------------------
@@ -312,13 +302,11 @@ class ContinuousBatchingScheduler:
         assert paging is not None
         for request in paging.take_ready(self.now_s):
             self.running.append(request)
-            self.table.add(request)
             if self.prefix is not None and request.prefix_shared_tokens:
                 # The landing carried the resume replay (if any): every
                 # pool block on the request's path is computed again.
                 self.prefix.commit(request.request_id)
             self._stage_resumed.append(request.request_id)
-            self._steady = False
             self._steady_ctx = None
         assert self.capacity_tokens is not None
         while True:
@@ -402,7 +390,6 @@ class ContinuousBatchingScheduler:
             victim = by_id[request_id]
             paging.evict(victim, self.now_s)
             self.running.remove(victim)
-            self.table.free(request_id)
             self._committed_tokens -= victim.unique_seq_len
             if self.prefix is not None:
                 # The victim's pool pins drop with it: once the last
@@ -420,7 +407,6 @@ class ContinuousBatchingScheduler:
                     - self.prefix.resident_tokens
                 )
                 self.prefix.evict_cached(shortfall)
-            self._steady = False
             self._steady_ctx = None
         return True
 
@@ -527,7 +513,6 @@ class ContinuousBatchingScheduler:
             raise SchedulingError("stage latency must be positive")
         if not self.running:
             raise SchedulingError("no stage in flight")
-        self.table.dirty = True
         self.now_s += latency_s
         now_s = self.now_s
         finished: list[Request] = []
@@ -577,9 +562,8 @@ class ContinuousBatchingScheduler:
         self.running = still_running
         self._stage_chunks = {}
         if finished:
-            for request in finished:
-                self.table.free(request.request_id)
-                if self.prefix is not None:
+            if self.prefix is not None:
+                for request in finished:
                     # Unpin; ready blocks stay cached for the next turn.
                     self.prefix.forget(request.request_id)
             if self.paging is not None:
@@ -590,12 +574,10 @@ class ContinuousBatchingScheduler:
             # stage is steady again.  Its contexts are what build_stage would
             # rebuild, minus the +1 its fast path adds.
             if still_running and not still_prefilling:
-                self._steady = True
                 self._steady_ctx = np.array(
                     [r.context_len - 1 for r in still_running], dtype=np.int64
                 )
             else:
-                self._steady = False
                 self._steady_ctx = None
         return finished
 
@@ -616,8 +598,8 @@ class ContinuousBatchingScheduler:
         The run membership is frozen, so mid-run blockages are
         time-invariant: a full batch stays full and an over-capacity
         parked head stays parked until the first completion — and runs
-        are capped at ``min_remaining`` so completions only ever land on
-        a run's final stage.  Admission, parked-head resumes and
+        are capped at :meth:`steady_min_remaining` so completions only
+        ever land on a run's final stage.  Admission, parked-head resumes and
         preemption all need a free slot, so a full batch may run while
         requests queue, as long as the policy's ``shed`` and
         ``order_waiting`` ignore the clock
@@ -630,7 +612,7 @@ class ContinuousBatchingScheduler:
         after either; a threshold at or before ``now_s`` means an arrival
         or landing is already due.
         """
-        if not self._steady or self._steady_ctx is None or not self.running:
+        if self._steady_ctx is None or not self.running:
             return None
         paging = self.paging
         threshold = float("inf")
@@ -663,10 +645,9 @@ class ContinuousBatchingScheduler:
         return self._steady_ctx
 
     def steady_min_remaining(self) -> int:
-        """Decode stages until the first in-batch completion (resyncs the
-        columnar table for the run about to be committed)."""
-        self.table.refresh(self.running)
-        return self.table.min_remaining()
+        """Decode stages until the first in-batch completion: the cap on
+        the next steady run (only asked of a steady, non-empty batch)."""
+        return min(r.output_len - r.tokens_generated for r in self.running)
 
     def commit_steady_run(self, n_stages: int, final_now_s: float) -> list[Request]:
         """Apply ``n_stages`` collapsed decode stages in one mutation.
@@ -682,10 +663,6 @@ class ContinuousBatchingScheduler:
         ctx = self._steady_ctx
         assert ctx is not None
         self.now_s = final_now_s
-        # Columnar first (refresh reads the pre-run object state), then the
-        # object layer in one pass — columns and objects land identical.
-        self.table.refresh(self.running)
-        self.table.advance_decode(n_stages)
         finished: list[Request] = []
         still_running: list[Request] = []
         running = self.running
@@ -702,9 +679,8 @@ class ContinuousBatchingScheduler:
         self.running = still_running
         self._steady_ctx = ctx + n_stages
         if finished:
-            for request in finished:
-                self.table.free(request.request_id)
-                if self.prefix is not None:
+            if self.prefix is not None:
+                for request in finished:
                     self.prefix.forget(request.request_id)
             if self.paging is not None:
                 for request in finished:
@@ -713,7 +689,6 @@ class ContinuousBatchingScheduler:
                 survivors = [r.state is not RequestState.FINISHED for r in running]
                 self._steady_ctx = self._steady_ctx[survivors]
             else:
-                self._steady = False
                 self._steady_ctx = None
         return finished
 
@@ -721,8 +696,8 @@ class ContinuousBatchingScheduler:
         """Drop the KV reservation of a mid-resume request (crash harvest).
 
         A request whose resume was in flight when its replica crashed is
-        in neither ``running`` nor the table, but its reservation was
-        re-committed at :meth:`~repro.serving.engine.KvPagingCoordinator.resume_next`
+        not in ``running``, but its reservation was re-committed at
+        :meth:`~repro.serving.engine.KvPagingCoordinator.resume_next`
         time; a repaired replica must not inherit that phantom commitment.
         """
         self._committed_tokens -= request.unique_seq_len
@@ -735,13 +710,11 @@ class ContinuousBatchingScheduler:
         this scheduler's batch and its KV reservation travels with it.
         """
         self.running.remove(request)
-        self.table.free(request.request_id)
         self._committed_tokens -= request.unique_seq_len
         if self.prefix is not None:
             self.prefix.forget(request.request_id)
         if self.paging is not None:
             self.paging.on_release(request)
-        self._steady = False
         self._steady_ctx = None
 
     @property
@@ -814,7 +787,6 @@ class ContinuousBatchingScheduler:
                 break
             self.running.append(request)
             self.admitted_log.append(request.request_id)
-            self.table.add(request)
             self._committed_tokens += request.total_seq_len
             if self.paging is not None:
                 self.paging.on_admit(request)

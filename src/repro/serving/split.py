@@ -294,21 +294,11 @@ class SplitServingSimulator:
             if target >= t:
                 break
 
-    def drain(self, limits: SimulationLimits) -> None:
-        """Finish everything queued here (until the stage budget runs out)."""
-        decode = self.decode_engine
-        while not decode.budget_spent(limits):
-            self._dispatch_prefills(limits)
-            if decode.step(limits):
-                continue
-            if not self._idle_jump(limits):
-                break
-
     def drain_until(self, t: float, limits: SimulationLimits) -> None:
-        """Time-sliced :meth:`drain`: run the pipeline until the decode
-        clock reaches ``t`` or the queued work runs out.  Slices compose:
-        a sequence of ``drain_until`` calls executes exactly the stage
-        sequence one :meth:`drain` call would (see
+        """Run the pipeline until the decode clock reaches ``t`` (``inf``:
+        until the queued work or the stage budget runs out).  Slices
+        compose: a sequence of ``drain_until`` calls executes exactly the
+        stage sequence one unbounded call would (see
         :meth:`~repro.serving.engine.ServingEngine.drain_until`)."""
         decode = self.decode_engine
         while decode.now_s < t and not decode.budget_spent(limits):

@@ -2,9 +2,8 @@
 
 Four layers (tier 1 — see TESTING.md):
 
-* unit tests for the struct-of-arrays :class:`RequestTable` (slot
-  recycling, growth, lazy refresh, vectorized advance) and the
-  :class:`EventClock` (lazy cancellation, fire ordering);
+* unit tests for the :class:`EventClock` (lazy cancellation, fire
+  ordering);
 * the property suite pinning the tentpole exactness claim: a full run
   with the columnar steady-run fast path enabled reproduces the scalar
   per-stage oracle (``columnar=False``) trajectory *exactly* — same
@@ -17,8 +16,9 @@ Four layers (tier 1 — see TESTING.md):
 * the steady state the scheduler carries across finished prefills,
   completions and runs, audited against the object layer on the same
   configurations (both oracle arms share the scheduler, so the oracle
-  alone cannot see a wrong carried context), and regression tests that
-  no run is priced unless it commits;
+  alone cannot see a wrong carried context), regression tests that no
+  run is priced unless it commits, and a check that runs are as long as
+  the batch allows (the oracle cannot see a cap that is too small);
 * held runs and full-batch runs: a run sliced by the driving loop's
   horizons is priced once and equals the scalar twin after every slice,
   a full batch runs over a growing queue and leaves it where the scalar
@@ -41,12 +41,12 @@ import numpy as np  # noqa: E402
 
 from repro.core.executor import StageExecutor  # noqa: E402
 from repro.core.system import duplex_system  # noqa: E402
-from repro.errors import ConfigError, SchedulingError  # noqa: E402
+from repro.errors import ConfigError  # noqa: E402
 from repro.models.config import mixtral  # noqa: E402
 from repro.serving.autoscaler import ElasticFleetSimulator, QueueDepthPolicy  # noqa: E402
 from repro.serving.cluster import ClusterSimulator  # noqa: E402
-from repro.serving.columnar import EventClock, RequestTable  # noqa: E402
-from repro.serving.engine import ServingEngine, SimulationLimits  # noqa: E402
+from repro.serving.columnar import EventClock  # noqa: E402
+from repro.serving.engine import _RUN_CAP, ServingEngine, SimulationLimits  # noqa: E402
 from repro.serving.faults import FaultConfig, FaultInjector, RetryPolicy  # noqa: E402
 from repro.serving.generator import QueueSource, WorkloadSpec  # noqa: E402
 from repro.serving.paging import EvictionPolicy, PagingConfig  # noqa: E402
@@ -61,80 +61,6 @@ from repro.serving.simulator import ServingSimulator  # noqa: E402
 from repro.serving.trace import TraceRecord, TraceReplayGenerator  # noqa: E402
 
 from test_invariants import CONFIGURATIONS, spec_strategy  # noqa: E402
-
-
-# ----------------------------------------------------------------------
-# RequestTable
-# ----------------------------------------------------------------------
-def _request(rid: int, input_len: int = 16, output_len: int = 8) -> Request:
-    request = Request(
-        request_id=rid,
-        arrival_time_s=float(rid),
-        input_len=input_len,
-        output_len=output_len,
-    )
-    request.start_prefill()
-    request.finish_prefill(float(rid) + 0.5)
-    return request
-
-
-class TestRequestTable:
-    def test_add_free_recycles_slots_lifo(self):
-        table = RequestTable(capacity=2)
-        a = table.add(_request(1))
-        b = table.add(_request(2))
-        assert a != b and len(table) == 2
-        table.free(1)
-        assert 1 not in table and 2 in table
-        assert table.add(_request(3)) == a  # LIFO recycling
-        assert table.request_id[a] == 3
-
-    def test_duplicate_add_rejected_and_unknown_free_is_noop(self):
-        table = RequestTable(capacity=2)
-        table.add(_request(7))
-        with pytest.raises(SchedulingError):
-            table.add(_request(7))
-        table.free(999)  # silently ignored
-        assert len(table) == 1
-
-    def test_grows_by_doubling(self):
-        table = RequestTable(capacity=2)
-        for rid in range(5):
-            table.add(_request(rid))
-        assert table.capacity == 8
-        assert len(table) == 5
-        assert {int(table.request_id[table.slot_of(r)]) for r in range(5)} == set(range(5))
-
-    def test_bad_capacity_rejected(self):
-        with pytest.raises(ConfigError):
-            RequestTable(capacity=0)
-
-    def test_refresh_advance_matches_object_layer(self):
-        table = RequestTable(capacity=4)
-        running = [_request(1, output_len=5), _request(2, output_len=9)]
-        for request in running:
-            table.add(request)
-        slots = table.refresh(running)
-        assert not table.dirty
-        # finish_prefill emitted token 1, so request 1 needs 4 more stages.
-        assert table.min_remaining() == 4
-        table.advance_decode(3)
-        assert list(table.tokens_generated[slots]) == [4, 4]
-        assert list(table.context_len[slots]) == [r.context_len + 3 for r in running]
-        # A scalar stage mutates the objects; refresh resyncs when dirty.
-        running[0].advance_decode(0.0)
-        table.dirty = True
-        table.refresh(running)
-        assert table.tokens_generated[table.slot_of(1)] == 2
-        assert table.min_remaining() == 3
-
-    def test_residency_flag(self):
-        table = RequestTable(capacity=2)
-        slot = table.add(_request(1))
-        assert bool(table.kv_resident[slot])
-        table.set_residency(1, False)
-        assert not bool(table.kv_resident[slot])
-        table.set_residency(404, True)  # unknown id: no-op
 
 
 # ----------------------------------------------------------------------
@@ -289,7 +215,7 @@ def test_columnar_matches_scalar_under_paging_pressure(policy):
 # ----------------------------------------------------------------------
 def _steady_matches_objects(scheduler) -> bool:
     """Audit one scheduler; True when it is steady (and the audit ran)."""
-    if not scheduler._steady:
+    if scheduler._steady_ctx is None:
         return False
     running = scheduler.running
     assert all(r.state is RequestState.DECODING for r in running)
@@ -412,8 +338,8 @@ def test_one_stage_run_equals_the_scalar_stage():
     assert len(priced) == 1 and priced[0] > 1
     assert step_engine.step(limits)
     assert _engine_state(run_engine) == _engine_state(step_engine)
-    run_engine.drain(limits)
-    step_engine.drain(limits)
+    run_engine.drain_until(float("inf"), limits)
+    step_engine.drain_until(float("inf"), limits)
     assert _engine_state(run_engine) == _engine_state(step_engine)
     assert run_engine.finished_ids == step_engine.finished_ids
 
@@ -441,6 +367,30 @@ def test_every_priced_run_commits_on_an_open_loop_run():
     runs = events.count("price")
     assert runs >= 40
     assert events == ["price", "commit"] * runs
+
+
+def test_steady_runs_are_as_long_as_the_batch_allows():
+    """Fig. 11 shape: a closed loop keeps the batch full, so no arrival
+    bounds a run and, with no warm-up gate, only the batch's first
+    completion or the run cap may end one.  The oracle suites cannot see
+    a cap that is too small: shorter runs are still exact."""
+    sim = ServingSimulator(
+        SYSTEM, MODEL, WorkloadSpec(lin_mean=512, lout_mean=300, lout_cv=0.3),
+        max_batch=8, seed=1,
+    )
+    runs: list[tuple[int, int]] = []
+    commit = sim.scheduler.commit_steady_run
+
+    def committed(n_stages, final_now_s):
+        finished = commit(n_stages, final_now_s)
+        runs.append((n_stages, len(finished)))
+        return finished
+
+    sim.scheduler.commit_steady_run = committed
+    sim.run(SimulationLimits(max_stages=4000, warmup_stages=0))
+    assert len(runs) >= 50
+    # The last run may stop at the stage budget instead.
+    assert all(finished or n == _RUN_CAP for n, finished in runs[:-1])
 
 
 # ----------------------------------------------------------------------
@@ -483,8 +433,8 @@ def test_routed_arrival_drops_the_held_run():
     engine.advance_to(horizon + 0.02, limits)
     twin.advance_to(horizon + 0.02, limits)
     assert _engine_state(engine) == _engine_state(twin)
-    engine.drain(limits)
-    twin.drain(limits)
+    engine.drain_until(float("inf"), limits)
+    twin.drain_until(float("inf"), limits)
     assert _engine_state(engine) == _engine_state(twin)
     assert engine.finished_ids == twin.finished_ids
     assert len(priced) > 1  # the grown batch priced runs of its own

@@ -129,9 +129,9 @@ class TestEngineBudget:
 
 
 class TestDrainUntilComposesLikeDrain:
-    """Slices of drain_until must reproduce one drain() call exactly —
+    """Slices of drain_until must reproduce one unbounded drain exactly —
     including across arrival gaps, where the engine advances (and books
-    idle) to the same future-arrival instants drain() would."""
+    idle) to the same future-arrival instants an unbounded drain would."""
 
     def _gapped_source(self):
         # Three bursts separated by idle gaps larger than any slice.
@@ -143,13 +143,13 @@ class TestDrainUntilComposesLikeDrain:
     def test_slices_serve_work_beyond_idle_gaps(self):
         limits = SimulationLimits(max_stages=500, warmup_stages=0)
         whole = _engine(self._gapped_source())
-        whole.drain(limits)
+        whole.drain_until(float("inf"), limits)
         sliced = _engine(self._gapped_source())
         t = 0.5
         for _ in range(200):
             sliced.drain_until(t, limits)
             t += 0.5
-        sliced.drain(limits)  # terminal no-op if the slices finished
+        sliced.drain_until(float("inf"), limits)  # terminal no-op if the slices finished
         assert sliced.finished_ids == whole.finished_ids == [0, 1, 2, 3, 4]
         assert sliced.stages == whole.stages
         assert sliced.metrics.elapsed_s == whole.metrics.elapsed_s  # idle splits agree
