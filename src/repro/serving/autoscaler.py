@@ -74,8 +74,9 @@ class FleetView:
 
     Attributes:
         now_s: the fleet virtual clock at the tick.
-        provisioning / warming / active / draining / retired / failed:
-            replica counts per lifecycle state.
+        provisioning / warming / active / draining / retired: replica
+            counts per lifecycle state (an elastic fleet takes no fault
+            injector, so no replica is ever FAILED).
         min_replicas / max_replicas: the controller's clamp bounds.
         queue_depth: routed-but-unadmitted requests across the fleet.
         outstanding_tokens: worst-case KV tokens admitted or queued.
@@ -107,7 +108,6 @@ class FleetView:
     recent_tbt_s: tuple[float, ...]
     recent_tbt_weights: tuple[float, ...]
     shed_requests: int
-    failed: int = 0
 
     @property
     def scaling_pool(self) -> int:
@@ -674,9 +674,7 @@ class ElasticFleetSimulator(ClusterSimulator):
         outstanding = 0
         for handle in self.handles:
             counts[handle.state] += 1
-            if handle.state in (ReplicaState.RETIRED, ReplicaState.FAILED):
-                # A FAILED replica holds no load: the health checker
-                # harvested its queue and in-flight work at detection.
+            if handle.state is ReplicaState.RETIRED:
                 continue
             view = handle.view()
             queue_depth += view.queue_depth
@@ -693,7 +691,6 @@ class ElasticFleetSimulator(ClusterSimulator):
             active=counts[ReplicaState.ACTIVE],
             draining=counts[ReplicaState.DRAINING],
             retired=counts[ReplicaState.RETIRED],
-            failed=counts[ReplicaState.FAILED],
             min_replicas=self.min_replicas,
             max_replicas=self.max_replicas,
             queue_depth=queue_depth,
@@ -716,7 +713,6 @@ class ElasticFleetSimulator(ClusterSimulator):
                 active=view.active,
                 draining=view.draining,
                 retired=view.retired,
-                failed=view.failed,
                 queue_depth=view.queue_depth,
                 outstanding_tokens=view.outstanding_tokens,
                 utilization=view.utilization,
@@ -780,7 +776,6 @@ class ElasticFleetSimulator(ClusterSimulator):
                 active=counts[ReplicaState.ACTIVE],
                 draining=counts[ReplicaState.DRAINING],
                 retired=counts[ReplicaState.RETIRED],
-                failed=counts[ReplicaState.FAILED],
             ),
         )
         super()._control_tick(t, limits)  # cadence sample + grid advance

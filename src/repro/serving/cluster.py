@@ -1499,7 +1499,9 @@ class ClusterSimulator:
     def _drain_fleet(self, limits: SimulationLimits) -> None:
         """Finish everything routed, sampling on the cadence grid.
 
-        With sampling disabled this is the classic whole-replica drain.
+        One loop: each pass drains every replica with work and budget
+        left up to the next control instant, then ticks.  With sampling
+        disabled and no fault events that is one whole-replica drain.
         With sampling enabled the fleet drains in ``sample_interval_s``
         time slices — each slice runs exactly the stage sequence a
         monolithic drain would (see
@@ -1507,12 +1509,6 @@ class ClusterSimulator:
         telemetry gains drain-phase samples without perturbing metrics.
         """
         self._drain_phase = True
-        if self._next_control_s() == float("inf"):
-            for handle in self._advanceable_handles():
-                handle.driver.drain_until(float("inf"), limits)
-            self._finish_drain(limits)
-            return
-        t = self._next_control_s()
         while True:
             workers = [
                 h
@@ -1521,18 +1517,14 @@ class ClusterSimulator:
             ]
             if not workers and not self._recovery_pending(limits):
                 break
-            if t == float("inf"):
-                # The control calendar emptied (every armed crash either
-                # fired or fell beyond the simulated work): plain drain.
-                for handle in workers:
-                    handle.driver.drain_until(float("inf"), limits)
-            else:
-                for handle in workers:
-                    handle.driver.drain_until(self._capped(handle, t), limits)
-                self._control_tick(t, limits)
+            # An empty control calendar (sampling off, and every armed
+            # crash fired or fell beyond the simulated work) is one slice
+            # to inf with no tick.
             t = self._next_control_s()
-        for handle in self._advanceable_handles():
-            handle.driver.drain_until(float("inf"), limits)
+            for handle in workers:
+                handle.driver.drain_until(self._capped(handle, t), limits)
+            if t < float("inf"):
+                self._control_tick(t, limits)
         self._finish_drain(limits)
 
     # ------------------------------------------------------------------

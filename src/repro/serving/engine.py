@@ -22,6 +22,11 @@ Engines compose: the split deployment is a prefill-partition engine whose
 :class:`TransferFeed` that a second, decode-partition engine consumes as
 its request source.  A cluster replica is an engine whose source is the
 :class:`~repro.serving.generator.QueueSource` a router pushes into.
+
+One driving loop per driver (an engine, or the split pipeline):
+``drain_until(t)`` is the loop, ``advance_to(t)`` is the loop then a wait
+at ``t``, and ``run`` is the loop to ``inf`` with the stop rule.  Every
+engine steps alike: a steady run where the batch allows, else one stage.
 """
 
 from __future__ import annotations
@@ -449,12 +454,6 @@ class ServingEngine:
         metrics: collector to record into; partitions of one deployment
             share a collector (the split system reports as one system).
         label: name used in :class:`StageEvent` and error messages.
-        record_idle: record open-loop idle gaps into elapsed time.  The
-            split decode partition measures busy time only (the paper's
-            Fig. 16 throughput accounting), so it opts out.
-        budget_exempt: this engine's stages never consume the simulation
-            stage budget (the split prefill partition: only decode stages
-            bound a run, exactly as the paper counts them).
         record_gate: overrides the warm-up gate deciding whether a stage
             is recorded (the split prefill partition records once the
             *decode* partition has warmed up).  None = the standard
@@ -479,8 +478,6 @@ class ServingEngine:
         executor: StageExecutor,
         metrics: MetricsCollector | None = None,
         label: str = "engine",
-        record_idle: bool = True,
-        budget_exempt: bool = False,
         record_gate: Callable[[SimulationLimits], bool] | None = None,
         handoff: Callable[[Request, float], None] | None = None,
         columnar: bool = True,
@@ -500,8 +497,6 @@ class ServingEngine:
         self._held_run: tuple[DecodeRunPricing, np.ndarray, int] | None = None
         self.metrics = metrics if metrics is not None else MetricsCollector()
         self.label = label
-        self.record_idle = record_idle
-        self.budget_exempt = budget_exempt
         self.record_gate = record_gate
         self.handoff = handoff
         self.stages = 0
@@ -542,10 +537,11 @@ class ServingEngine:
         self.scheduler.now_s = max(self.scheduler.now_s, t)
 
     def idle_until(self, t: float, limits: SimulationLimits) -> None:
-        """Advance the clock through an idle gap, recording it if measured."""
+        """Advance the clock through an idle gap, recording it if measured
+        (warm-up over, stage budget left)."""
         gap = t - self.now_s
         if gap > 0:
-            if self.record_idle and self.stages >= limits.warmup_stages:
+            if self.stages >= limits.warmup_stages and not self.budget_spent(limits):
                 self.metrics.record_idle(gap)
             self.scheduler.now_s = t
 
@@ -553,9 +549,12 @@ class ServingEngine:
     # budget
     # ------------------------------------------------------------------
     def budget_spent(self, limits: SimulationLimits) -> bool:
-        """Whether the stage budget (measured or total) is exhausted."""
-        if self.budget_exempt:
-            return False
+        """Whether the stage budget (measured or total) is exhausted.
+
+        The driving loops ask, not :meth:`step`: only decode stages bound a
+        split run (as the paper counts them), and its prefill partition is
+        stepped only by the pipeline.
+        """
         return (
             self.measured >= limits.max_stages
             or self.stages >= limits.warmup_stages + limits.max_stages
@@ -567,6 +566,8 @@ class ServingEngine:
     def step(self, limits: SimulationLimits, admit: bool = True) -> bool:
         """Run one stage if work is available; True when one ran.
 
+        The caller checks the stage budget first (see :meth:`budget_spent`).
+
         Args:
             admit: run admission inside stage construction (default); the
                 split prefill partition admits separately at decode time.
@@ -574,8 +575,6 @@ class ServingEngine:
         # Any change to the batch goes through a scalar stage, so a held
         # run never outlives the batch it priced.
         self._held_run = None
-        if self.budget_spent(limits):
-            return False
         scheduler = self.scheduler
         workload = scheduler.build_stage(admit=admit)
         if workload is None:
@@ -706,7 +705,7 @@ class ServingEngine:
     def _attempt_steady_run(
         self,
         limits: SimulationLimits,
-        horizon_s: float | None = None,
+        horizon_s: float = float("inf"),
         sim_time_s: float | None = None,
     ) -> int:
         """Collapse a provably steady decode run into one vectorized commit.
@@ -741,11 +740,6 @@ class ServingEngine:
             or self.budget_spent(limits)
         ):
             return 0
-        # Disqualify incapable executors before touching the scheduler:
-        # the threshold probe below is too much to pay on every scalar step.
-        price_run = getattr(self.executor, "price_decode_run", None)
-        if price_run is None:
-            return 0
         scheduler = self.scheduler
         threshold = scheduler.steady_run_threshold()
         if threshold is None:
@@ -761,7 +755,7 @@ class ServingEngine:
             if profile.scale_at(now) != 1.0:
                 return 0
             threshold = min(threshold, profile.next_change_s(now))
-        stop = threshold if horizon_s is None else min(threshold, horizon_s)
+        stop = min(threshold, horizon_s)
         if stop <= now:
             # An arrival or landing is already due: the scalar stage admits
             # it.  Past this check the first stage starts before the
@@ -776,12 +770,9 @@ class ServingEngine:
             cap = min(scheduler.steady_min_remaining(), _RUN_CAP)
             if stages < warmup:
                 cap = min(cap, warmup - stages)  # runs never straddle warm-up
-            if not self.budget_exempt:
-                cap = min(
-                    cap,
-                    limits.max_stages - self.measured,
-                    warmup + limits.max_stages - stages,
-                )
+            cap = min(
+                cap, limits.max_stages - self.measured, warmup + limits.max_stages - stages
+            )
             if threshold != float("inf") and self._last_decode_latency_s > 0.0:
                 # Cheap pre-truncation so a near-threshold attempt does not
                 # price stages that cannot fit (any cap is exact — this only
@@ -790,7 +781,7 @@ class ServingEngine:
                 # the horizon are held, not thrown away.
                 estimate = int((threshold - now) / self._last_decode_latency_s) + 2
                 cap = min(cap, estimate)
-            pricing = price_run(scheduler.steady_context_base(), cap)
+            pricing = self.executor.price_decode_run(scheduler.steady_context_base(), cap)
             if pricing is None:
                 return 0
             # boundaries[k] is the clock after stage k; the seeded
@@ -852,58 +843,44 @@ class ServingEngine:
         return n
 
     # ------------------------------------------------------------------
-    # driving loops
+    # the driving loop
     # ------------------------------------------------------------------
-    def run(self, limits: SimulationLimits) -> ServingReport:
-        """Run to the limits (or source exhaustion) and return the report."""
-        while not self.budget_spent(limits):
-            if self._attempt_steady_run(
-                limits, sim_time_s=limits.max_sim_time_s
-            ) or self.step(limits):
-                if self.stages > limits.warmup_stages:
-                    if (
-                        limits.target_completions is not None
-                        and self.completions >= limits.target_completions
-                    ):
-                        break
-                    if (
-                        limits.max_sim_time_s is not None
-                        and self.now_s >= limits.max_sim_time_s
-                    ):
-                        break
-                continue
-            next_event = self._next_event_s()
-            if next_event == float("inf"):
-                break  # finite source exhausted, nothing running or paging
-            self.idle_until(next_event, limits)
-        return self.metrics.report()
-
-    def _next_event_s(self) -> float:
-        """Next instant new work can appear: an arrival, or a resume landing."""
-        return min(
-            self.scheduler.source.peek_arrival(), self.scheduler.next_paging_ready_s
+    def _stop_reached(self, limits: SimulationLimits) -> bool:
+        """:meth:`run`'s stop rule, asked after each stage or run (the split
+        pipeline asks its decode engine)."""
+        target, end_s = limits.target_completions, limits.max_sim_time_s
+        return self.stages > limits.warmup_stages and (
+            (target is not None and self.completions >= target)
+            or (end_s is not None and self.now_s >= end_s)
         )
 
-    def advance_to(self, t: float, limits: SimulationLimits) -> None:
-        """Simulate until the clock reaches ``t`` (stages may overshoot)."""
-        while self.now_s < t:
-            if self._attempt_steady_run(limits, horizon_s=t) or self.step(limits):
+    def _drive(self, t: float, limits: SimulationLimits, stop: bool) -> None:
+        """The driving loop: a steady run or one scalar stage per pass until
+        the clock reaches ``t`` (stages may overshoot), the stage budget is
+        spent, nothing can happen by ``t`` (an idle engine advances to the
+        next arrival or resume landing), or ``stop`` and the stop rule."""
+        sim_time_s = limits.max_sim_time_s if stop else None
+        while self.now_s < t and not self.budget_spent(limits):
+            if self._attempt_steady_run(limits, t, sim_time_s) or self.step(limits):
+                if stop and self._stop_reached(limits):
+                    return
                 continue
-            # Idle (or out of stage budget): jump to the next queued
-            # arrival, or to t if the source is quiet until then.
-            target = t if self.budget_spent(limits) else min(t, self._next_event_s())
-            target = max(target, self.now_s)
-            gap = target - self.now_s
-            if gap > 0:
-                if (
-                    self.record_idle
-                    and self.stages >= limits.warmup_stages
-                    and not self.budget_spent(limits)
-                ):
-                    self.metrics.record_idle(gap)
-                self.scheduler.now_s = target
-            if target >= t:
-                break
+            scheduler = self.scheduler
+            next_event = min(scheduler.source.peek_arrival(), scheduler.next_paging_ready_s)
+            if next_event == float("inf") or next_event > t:
+                return
+            self.idle_until(next_event, limits)
+
+    def run(self, limits: SimulationLimits) -> ServingReport:
+        """Run to the limits (or source exhaustion) and return the report."""
+        self._drive(float("inf"), limits, stop=True)
+        return self.metrics.report()
+
+    def advance_to(self, t: float, limits: SimulationLimits) -> None:
+        """Simulate until the clock reaches ``t`` (stages may overshoot),
+        then wait there."""
+        self._drive(t, limits, stop=False)
+        self.idle_until(t, limits)
 
     def drain_until(self, t: float, limits: SimulationLimits) -> None:
         """Drain work until the clock reaches ``t`` (stages may overshoot).
@@ -916,10 +893,4 @@ class ServingEngine:
         cadence-sampled fleet drain depends on that equivalence.  An
         arrival beyond ``t`` is left for a later slice.
         """
-        while self.now_s < t and not self.budget_spent(limits):
-            if self._attempt_steady_run(limits, horizon_s=t) or self.step(limits):
-                continue
-            next_event = self._next_event_s()
-            if next_event == float("inf") or next_event > t:
-                break
-            self.advance_to(next_event, limits)
+        self._drive(t, limits, stop=False)

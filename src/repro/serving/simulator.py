@@ -130,11 +130,6 @@ class ServingSimulator:
         self.warm_start = self.source.closed_loop if warm_start is None else warm_start
 
     @property
-    def generator(self) -> RequestSource:
-        """The request source (kept under its historical name)."""
-        return self.source
-
-    @property
     def engines(self) -> tuple[ServingEngine, ...]:
         """The engine(s) backing this simulation (invariant probes)."""
         return (self.engine,)

@@ -22,7 +22,10 @@ Timing quirks faithfully kept from the paper's accounting: the decode
 clock is the reference clock (prefill stages queue on ``prefill`` time but
 are recorded against the decode warm-up window), and idle gaps between
 decode cohorts do not count toward elapsed time (throughput is busy-time
-throughput).
+throughput): the pipeline jumps the decode clock and never books idle.
+Its one driving loop dispatches arrivals, then steps the decode engine
+like any engine, so the decoding-only stages take steady runs, bounded by
+the next instant a dispatch could admit work.
 """
 
 from __future__ import annotations
@@ -154,7 +157,6 @@ class SplitServingSimulator:
             self.decode_executor,
             metrics=metrics,
             label="Duplex-Split/decode",
-            record_idle=False,  # busy-time throughput, as the paper counts it
         )
         prefill_scheduler = ContinuousBatchingScheduler(
             self.source,
@@ -167,17 +169,11 @@ class SplitServingSimulator:
             self.prefill_executor,
             metrics=metrics,
             label="Duplex-Split/prefill",
-            budget_exempt=True,  # only decode stages consume the stage budget
             record_gate=self._prefill_record_gate,
             handoff=self._transfer_kv,
         )
 
     # ------------------------------------------------------------------
-    @property
-    def generator(self) -> RequestSource:
-        """The request source (kept under its historical name)."""
-        return self.source
-
     @property
     def metrics(self) -> MetricsCollector:
         """The collector both partitions record into."""
@@ -224,30 +220,48 @@ class SplitServingSimulator:
         scheduler.now_s = max(scheduler.now_s, busy_until)
         engine.step(limits, admit=False)
 
-    def _next_event(self, now: float) -> float:
-        """The next instant anything can change: a KV transfer landing, or
-        a *future* arrival starting a prefill.  An arrival already in the
-        past is waiting on pipeline capacity and cannot progress before a
-        transfer lands, so it never gates the jump (jumping to it would
-        freeze the clock)."""
-        next_ready = self.transfers.peek_arrival()
-        arrival = self.source.peek_arrival()
-        return min(next_ready, arrival if arrival > now else float("inf"))
+    def _next_dispatch_s(self) -> float:
+        """The next arrival while the pipeline has room, else ``inf``: an
+        exact run bound, since room cannot open during a decode run (a run
+        ends at its first completion, a KV landing on a full decode batch
+        only moves a request from the feed to the decode queue, and a
+        prefill cohort leaves the prefill partition within its stage)."""
+        if self._downstream_in_flight() >= self.effective_batch:
+            return float("inf")
+        return self.source.peek_arrival()
 
-    def _idle_jump(self, limits: SimulationLimits) -> bool:
-        """Advance the decode clock to the next event; False when exhausted."""
+    def _next_event_s(self) -> float:
+        """When an idle pipeline next changes (``inf``: never): a KV landing
+        or a *future* arrival.  A past arrival waits on pipeline capacity,
+        so it never gates the jump (jumping to it would freeze the clock),
+        unless nothing is in flight (a closed loop, or a cohort that
+        finished at prefill): then it waits for the prefill partition."""
+        now = self.decode_engine.now_s
+        arrival = self.source.peek_arrival()
+        target = min(self.transfers.peek_arrival(), arrival if arrival > now else float("inf"))
+        if target == float("inf") and arrival < float("inf") and self.prefill_engine.now_s > now:
+            return self.prefill_engine.now_s
+        return target
+
+    def _drive(self, t: float, limits: SimulationLimits, stop: bool) -> None:
+        """The driving loop, shaped like the engine's: each pass dispatches
+        due arrivals, then commits a decode run bounded by ``t`` and
+        :meth:`_next_dispatch_s`, or steps one decode stage.  An idle
+        pipeline jumps the decode clock (booking no idle time) to the next
+        event, never past ``t``."""
         decode = self.decode_engine
-        target = self._next_event(decode.now_s)
-        if target == float("inf"):
-            if self.source.peek_arrival() == float("inf"):
-                return False  # finite source exhausted, pipeline empty
-            # Closed loop with nothing in flight: wait for the prefill
-            # partition before dispatching again.
-            target = self.prefill_engine.now_s
-            if target <= decode.now_s:
-                return False  # nothing can ever become ready
-        decode.jump_to(target)
-        return True
+        sim_time_s = limits.max_sim_time_s if stop else None
+        while decode.now_s < t and not decode.budget_spent(limits):
+            self._dispatch_prefills(limits)
+            horizon = min(t, self._next_dispatch_s())
+            if decode._attempt_steady_run(limits, horizon, sim_time_s) or decode.step(limits):
+                if stop and decode._stop_reached(limits):
+                    return
+                continue
+            target = self._next_event_s()
+            if target == float("inf") or target > t:
+                return
+            decode.jump_to(target)
 
     def run(self, limits: SimulationLimits | None = None) -> ServingReport:
         """Run the two-partition pipeline and report deployment metrics.
@@ -256,43 +270,17 @@ class SplitServingSimulator:
         simulator per measurement.
         """
         limits = limits or SimulationLimits()
-        decode = self.decode_engine
-        while not decode.budget_spent(limits):
-            self._dispatch_prefills(limits)
-            if decode.step(limits):
-                if decode.stages > limits.warmup_stages:
-                    if (
-                        limits.target_completions is not None
-                        and decode.completions >= limits.target_completions
-                    ):
-                        break
-                    if (
-                        limits.max_sim_time_s is not None
-                        and decode.now_s >= limits.max_sim_time_s
-                    ):
-                        break
-                continue
-            if not self._idle_jump(limits):
-                break
+        self._drive(float("inf"), limits, stop=True)
         return self.metrics.report()
 
     # ------------------------------------------------------------------
     # cluster-replica driving (heterogeneous fleets)
     # ------------------------------------------------------------------
     def advance_to(self, t: float, limits: SimulationLimits) -> None:
-        """Simulate until the decode clock reaches ``t`` (may overshoot)."""
-        decode = self.decode_engine
-        while decode.now_s < t:
-            if decode.budget_spent(limits):
-                decode.jump_to(t)
-                break
-            self._dispatch_prefills(limits)
-            if decode.step(limits):
-                continue
-            target = min(t, self._next_event(decode.now_s))
-            decode.jump_to(target)
-            if target >= t:
-                break
+        """Simulate until the decode clock reaches ``t`` (may overshoot),
+        then wait there."""
+        self._drive(t, limits, stop=False)
+        self.decode_engine.jump_to(t)
 
     def drain_until(self, t: float, limits: SimulationLimits) -> None:
         """Run the pipeline until the decode clock reaches ``t`` (``inf``:
@@ -300,10 +288,4 @@ class SplitServingSimulator:
         compose: a sequence of ``drain_until`` calls executes exactly the
         stage sequence one unbounded call would (see
         :meth:`~repro.serving.engine.ServingEngine.drain_until`)."""
-        decode = self.decode_engine
-        while decode.now_s < t and not decode.budget_spent(limits):
-            self._dispatch_prefills(limits)
-            if decode.step(limits):
-                continue
-            if not self._idle_jump(limits):
-                break
+        self._drive(t, limits, stop=False)

@@ -22,8 +22,12 @@ Four layers (tier 1 — see TESTING.md):
 * held runs and full-batch runs: a run sliced by the driving loop's
   horizons is priced once and equals the scalar twin after every slice,
   a full batch runs over a growing queue and leaves it where the scalar
-  loop does, and a fleet-level oracle (an elastic and a crash-and-retry
-  fleet) requires the scalar fleet's report and trajectories.
+  loop does, and a fleet-level oracle (an elastic, a crash-and-retry and
+  a split fleet) requires the scalar fleet's report and trajectories.
+
+Split decode engines take steady runs too, so every configuration with a
+split pipeline must commit at least one: an oracle arm that never leaves
+the scalar loop would pass vacuously.
 """
 
 from __future__ import annotations
@@ -44,7 +48,11 @@ from repro.core.system import duplex_system  # noqa: E402
 from repro.errors import ConfigError  # noqa: E402
 from repro.models.config import mixtral  # noqa: E402
 from repro.serving.autoscaler import ElasticFleetSimulator, QueueDepthPolicy  # noqa: E402
-from repro.serving.cluster import ClusterSimulator  # noqa: E402
+from repro.serving.cluster import (  # noqa: E402
+    ClusterSimulator,
+    MonolithicReplicaSpec,
+    SplitReplicaSpec,
+)
 from repro.serving.columnar import EventClock  # noqa: E402
 from repro.serving.engine import _RUN_CAP, ServingEngine, SimulationLimits  # noqa: E402
 from repro.serving.faults import FaultConfig, FaultInjector, RetryPolicy  # noqa: E402
@@ -168,15 +176,39 @@ def _trajectory(report, engines):
     }
 
 
+@contextmanager
+def _counting_split_runs():
+    """Count the steady runs that split decode engines commit."""
+    attempt = ServingEngine._attempt_steady_run
+    runs: Counter[str] = Counter()
+
+    def counting(self, *args):
+        committed = attempt(self, *args)
+        if committed and self.label.endswith("/decode"):
+            runs["split"] += 1
+        return committed
+
+    with mock.patch.object(ServingEngine, "_attempt_steady_run", counting):
+        yield runs
+
+
+#: Configurations with a split pipeline: its decode engine must take runs,
+#: or the oracle would compare the scalar loop with itself.
+SPLIT_CONFIGS = {"split-closed", "split-poisson", "cluster-heterogeneous"}
+
+
 @pytest.mark.invariants
 @pytest.mark.parametrize("config", sorted(CONFIGURATIONS))
 @given(spec_params=spec_strategy, seed=st.integers(min_value=0, max_value=2**16))
 def test_columnar_matches_scalar_oracle(config, spec_params, seed):
-    fast_report, fast_engines = _run_config(config, spec_params, seed, columnar=True)
+    with _counting_split_runs() as runs:
+        fast_report, fast_engines = _run_config(config, spec_params, seed, columnar=True)
     oracle_report, oracle_engines = _run_config(config, spec_params, seed, columnar=False)
     assert _trajectory(fast_report, fast_engines) == _trajectory(
         oracle_report, oracle_engines
     )
+    if config in SPLIT_CONFIGS:
+        assert runs["split"] > 0
 
 
 MODEL = mixtral()
@@ -633,7 +665,20 @@ def _crashing_fleet(seed: int):
     )
 
 
-FLEETS = {"elastic": _elastic_fleet, "crash-retry": _crashing_fleet}
+def _split_fleet(seed: int):
+    """A batch-8 monolithic replica and a split replica; the split replica
+    crashes, its requests retry on the monolithic one, and it is repaired."""
+    return ClusterSimulator(
+        SYSTEM, MODEL, _phased_trace(seed, ((1.5, 40.0),)),
+        replicas=(MonolithicReplicaSpec(), SplitReplicaSpec()), max_batch=8, seed=seed,
+        retry=RetryPolicy(max_attempts=3),
+        faults=FaultInjector(
+            FaultConfig(crash_times=((0.6, 1),), crash_mttr_s=0.5, detection_latency_s=0.1)
+        ),
+    )
+
+
+FLEETS = {"elastic": _elastic_fleet, "crash-retry": _crashing_fleet, "split": _split_fleet}
 
 
 @pytest.mark.invariants
@@ -659,12 +704,16 @@ def test_fleet_columnar_matches_scalar_oracle(fleet, seed):
 
     with mock.patch.object(
         StageExecutor, "replay_decode_run", replay_decode_run
-    ), mock.patch.object(ContinuousBatchingScheduler, "commit_steady_run", commit_steady_run):
+    ), mock.patch.object(
+        ContinuousBatchingScheduler, "commit_steady_run", commit_steady_run
+    ), _counting_split_runs() as runs:
         fast = FLEETS[fleet](seed)
         fast_report = fast.run(FLEET_LIMITS)
     with mock.patch.object(ServingEngine, "_attempt_steady_run", return_value=0):
         oracle = FLEETS[fleet](seed)
         oracle_report = oracle.run(FLEET_LIMITS)
     assert counts["held"] > 0 and counts["queued"] > 0
+    if any(handle.kind == "split" for handle in fast.handles):
+        assert runs["split"] > 0
     assert fast_report == oracle_report
     assert _trajectory(fast_report, fast.engines) == _trajectory(oracle_report, oracle.engines)

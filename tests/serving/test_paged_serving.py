@@ -55,6 +55,9 @@ class _StubExecutor:
             self.replay_prefills.append(workload.prefill_lengths[0])
         return _StubResult(latency_s=self.latency_s, is_mixed=workload.is_mixed)
 
+    def price_decode_run(self, context_lengths, n_stages):
+        return None  # no steady runs: every stage goes through run_stage
+
 
 def _request(rid: int, arrival: float, lin: int = 30, lout: int = 10) -> Request:
     return Request(request_id=rid, arrival_time_s=arrival, input_len=lin, output_len=lout)

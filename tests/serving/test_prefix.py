@@ -249,6 +249,9 @@ class _StubExecutor:
 
         return _Result()
 
+    def price_decode_run(self, context_lengths, n_stages):
+        return None  # no steady runs: every stage goes through run_stage
+
 
 def _request(rid, arrival, lin=30, lout=4, blocks=None):
     return Request(

@@ -109,14 +109,6 @@ class TestStageEvents:
 
 
 class TestEngineBudget:
-    def test_budget_exempt_engine_never_spends(self):
-        engine = _engine(budget_exempt=True)
-        limits = SimulationLimits(max_stages=1, warmup_stages=0)
-        for _ in range(5):
-            assert engine.step(limits)
-        assert engine.stages == 5
-        assert not engine.budget_spent(limits)
-
     def test_record_gate_overrides_warmup(self):
         gate_open = []
         engine = _engine(record_gate=lambda limits: bool(gate_open))

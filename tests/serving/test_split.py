@@ -5,7 +5,8 @@ import pytest
 from repro.errors import ConfigError
 from repro.models.config import mixtral
 from repro.parallel.topology import ClusterTopology
-from repro.serving.generator import WorkloadSpec
+from repro.serving.generator import QueueSource, WorkloadSpec
+from repro.serving.request import Request
 from repro.serving.simulator import SimulationLimits
 from repro.serving.split import SplitServingSimulator, split_partitions
 from repro.serving.trace import TraceRecord, TraceReplayGenerator
@@ -15,6 +16,18 @@ MODEL = mixtral()
 
 def _trace(records):
     return TraceReplayGenerator(records)
+
+
+def _replica(*requests):
+    """A split pipeline over an inbox, the way a fleet builds one."""
+    inbox = QueueSource()
+    for request in requests:
+        inbox.push(request)
+    return SplitServingSimulator(MODEL, inbox, max_batch=8, seed=0, worst_case_tokens=8192), inbox
+
+
+def _request(rid, arrival, lin=2048, lout=16):
+    return Request(request_id=rid, arrival_time_s=arrival, input_len=lin, output_len=lout)
 
 
 class TestKvHandoffLink:
@@ -124,3 +137,77 @@ class TestOpenLoopSplit:
         )
         assert report.requests_completed > 0
         assert report.tbt_p50_s > 0
+
+
+class TestStageBudget:
+    def test_prefill_stages_never_spend_the_stage_budget(self):
+        # Single-token requests finish at prefill: twelve prefill stages
+        # against a five-stage budget, and no decode stage at all.  Only
+        # decode stages bound a split run, so every request completes.
+        source = _trace(
+            [TraceRecord(arrival_s=0.05 * i, input_len=256, output_len=1) for i in range(12)]
+        )
+        sim = SplitServingSimulator(MODEL, source, max_batch=8, seed=0)
+        report = sim.run(SimulationLimits(max_stages=5, warmup_stages=0))
+        assert report.requests_completed == 12
+        assert sim.prefill_engine.stages == 12
+        assert sim.decode_engine.stages == 0
+
+
+class TestDrainSlices:
+    """``drain_until`` slices of a split pipeline (the cluster's drain
+    phase) must serve work exactly as one unbounded drain does — the
+    split twin of the engine's ``TestDrainUntilComposesLikeDrain``."""
+
+    LIMITS = SimulationLimits(max_stages=500, warmup_stages=0)
+
+    def _gapped(self):
+        # Three bursts separated by idle gaps larger than any slice.
+        return _replica(
+            *(
+                _request(rid, arrival, lin=64, lout=6)
+                for rid, arrival in enumerate((0.0, 0.1, 2.5, 2.6, 7.3))
+            )
+        )[0]
+
+    def test_request_routed_between_slices_is_served_as_if_queued_from_the_start(self):
+        # Request 0's KV lands on the decode partition at about 41 ms,
+        # well past the first slice boundary.  Request 1, routed at that
+        # boundary, must prefill as soon as the prefill partition frees
+        # up — not wait for the landing.
+        sliced, inbox = _replica(_request(0, 0.0))
+        sliced.drain_until(1e-4, self.LIMITS)
+        late = _request(1, 1e-4)
+        inbox.push(late)
+        sliced.drain_until(float("inf"), self.LIMITS)
+
+        twin_late = _request(1, 1e-4)
+        twin, _ = _replica(_request(0, 0.0), twin_late)
+        twin.drain_until(float("inf"), self.LIMITS)
+        assert late.first_token_time_s == twin_late.first_token_time_s
+        assert sliced.metrics.report() == twin.metrics.report()
+
+    def test_slice_leaves_the_decode_clock_at_its_boundary(self):
+        sim, _ = _replica(_request(0, 0.0))
+        sim.drain_until(1e-4, self.LIMITS)
+        assert sim.decode_engine.now_s <= 1e-4  # the KV landing waits
+        gapped = self._gapped()
+        gapped.drain_until(1.0, self.LIMITS)  # first burst only
+        assert gapped.decode_engine.finished_ids == [0, 1]
+        assert gapped.decode_engine.now_s <= 1.0  # not advanced into the gap
+
+    def test_slices_compose_like_one_unbounded_drain(self):
+        whole = self._gapped()
+        whole.drain_until(float("inf"), self.LIMITS)
+        sliced = self._gapped()
+        t = 0.5
+        for _ in range(200):
+            sliced.drain_until(t, self.LIMITS)
+            t += 0.5
+        sliced.drain_until(float("inf"), self.LIMITS)  # terminal no-op if the slices finished
+        for engine, twin in zip(sliced.engines, whole.engines, strict=True):
+            assert engine.finished_ids == twin.finished_ids
+            assert engine.stages == twin.stages
+            assert engine.now_s == twin.now_s
+        assert sliced.decode_engine.finished_ids == [0, 1, 2, 3, 4]
+        assert sliced.metrics.report() == whole.metrics.report()
