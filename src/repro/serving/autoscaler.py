@@ -29,10 +29,11 @@ that starts warming after some replica of the fleet has run a stage takes
 the *warm-start* path instead, and its dwell shrinks to
 ``warm_start_delay_s``.
 
-Time model: control ticks never advance ACTIVE engines (they read the
-same possibly-stale state routers see — decisions take effect from the
-next event), but they do advance DRAINING replicas so drains complete in
-a timely fashion.  Under :class:`StaticReplicaPolicy` no replica ever
+Time model: boot milestones fire at their own instants off the cluster's
+fleet calendar (see :mod:`repro.serving.cluster`).  Control ticks never
+advance ACTIVE engines (they read the same possibly-stale state routers
+see — decisions take effect from the next event), but ticks and arrivals
+advance DRAINING replicas so drains complete in a timely fashion.  Under :class:`StaticReplicaPolicy` no replica ever
 leaves ACTIVE, so an elastic fleet is stage-for-stage identical to the
 fixed :class:`ClusterSimulator` — the equivalence test in
 ``tests/serving/test_autoscaler.py`` pins that.
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Protocol, runtime_checkable
 
 from repro.core.system import SystemConfig
@@ -58,7 +59,6 @@ from repro.serving.cluster import (
     Router,
     replica_spec_devices,
 )
-from repro.serving.columnar import EventClock
 from repro.serving.engine import SimulationLimits
 from repro.serving.generator import RequestSource, WorkloadSpec
 from repro.serving.policy import SchedulingPolicy
@@ -385,8 +385,8 @@ class ElasticFleetSimulator(ClusterSimulator):
     The arrival stream is routed exactly as in
     :class:`~repro.serving.cluster.ClusterSimulator` — but only ACTIVE
     replicas are routable, and every ``control_interval_s`` of virtual
-    time a control tick updates replica lifecycles, snapshots the fleet
-    time series, and applies the policy's scaling decision: scale-ups
+    time a control tick retires emptied drains, applies the policy's
+    scaling decision, and snapshots the fleet time series: scale-ups
     provision new replicas (cold- or warm-started, see below), scale-
     downs cancel still-booting replicas first and then drain the
     least-loaded ACTIVE ones, which finish their in-flight requests and
@@ -508,14 +508,9 @@ class ElasticFleetSimulator(ClusterSimulator):
             replicas=tuple(self.replica_template for _ in range(initial)),
             sample_interval_s=control_interval_s,
         )
-        # Lifecycle wakeups live on an EventClock keyed by replica index:
-        # boot milestones (PROVISIONING -> WARMING -> ACTIVE) are known
-        # instants, so _update_lifecycle pops exactly the due transitions
-        # instead of re-scanning every handle on every arrival and tick.
-        # DRAINING replicas are the one non-timed lifecycle (they retire
-        # when their in-flight work empties), so they sit in a separate
-        # small list that is walked each call.
-        self._lifecycle_clock = EventClock()
+        # DRAINING replicas retire when their in-flight work empties (not
+        # at a known instant), so they sit in a small list walked at every
+        # arrival and tick.
         self._draining: list[ManagedReplica] = []
         # controller run-state: the sample list and cursors are (re)set
         # in _begin_run; the windows carry their maxlen configuration.
@@ -529,54 +524,44 @@ class ElasticFleetSimulator(ClusterSimulator):
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def _update_lifecycle(self, t: float, limits: SimulationLimits) -> None:
-        """Advance replica lifecycles to virtual time ``t``.
+    def _boot(self, t: float, index: int) -> None:
+        """A boot milestone: PROVISIONING -> WARMING, or WARMING -> ACTIVE.
 
-        Boot transitions pop off the :class:`EventClock` (nothing due and
-        nothing draining = this returns without touching a handle), so the
-        per-arrival cost no longer scans the whole provision history.
+        The warm-vs-cold dwell is decided when warming actually begins —
+        the fleet may not have served yet when this replica was
+        provisioned, yet have by the time it boots.
         """
-        clock = self._lifecycle_clock
-        if clock.next_time() <= t:
-            for index in clock.pop_due(t):
-                handle = self.handles[index]
-                if handle.state is ReplicaState.PROVISIONING and t >= handle.warming_at:
-                    handle.set_state(handle.warming_at, ReplicaState.WARMING)
-                    # The warm-vs-cold dwell is decided when warming
-                    # actually begins — the fleet may not have served yet
-                    # when this replica was provisioned, yet have by the
-                    # time it boots.
-                    dwell = (
-                        self.warm_start_delay_s
-                        if self._starts_warm(handle)
-                        else self.warmup_delay_s
-                    )
-                    handle.active_at = handle.warming_at + dwell
-                    if handle.active_at > t:
-                        clock.schedule(index, handle.active_at)
-                if handle.state is ReplicaState.WARMING and t >= handle.active_at:
-                    handle.set_state(handle.active_at, ReplicaState.ACTIVE)
-                    # The replica's virtual clock starts at activation — it
-                    # did not exist (as serving capacity) before.
-                    handle.jump_to(handle.active_at)
-        if not self._draining:
-            return
+        handle = self.handles[index]
+        if handle.state is ReplicaState.PROVISIONING:
+            handle.set_state(t, ReplicaState.WARMING)
+            dwell = self.warm_start_delay_s if self._starts_warm(handle) else self.warmup_delay_s
+            handle.active_at = t + dwell
+            self._calendar.schedule((self._boot, index), handle.active_at)
+        else:
+            handle.set_state(t, ReplicaState.ACTIVE)
+            # The replica's virtual clock starts at activation — it did
+            # not exist (as serving capacity) before.
+            handle.jump_to(t)
+
+    def _retire_drained(self, t: float) -> None:
+        """Drain DRAINING replicas to ``t``; retire the empty or spent ones.
+
+        Stamped at the observation instant (an arrival, a tick or run
+        end), not the replica's possibly-overshot stage clock, so the
+        event log replays against the fleet samples.  A spent budget can
+        retire a replica still holding routed-but-unadmitted requests:
+        they go back to the router (free) with the transition.
+        """
+        limits = self._limits
         still_draining: list[ManagedReplica] = []
         for handle in self._draining:
-            handle.driver.drain_until(self._capped(handle, t), limits)
-            if not handle.has_work or handle.budget_spent(limits):
-                # Stamped at the control-plane observation instant (the
-                # tick), not the replica's own possibly-overshot stage
-                # clock, so the event log replays consistently against
-                # the fixed-cadence fleet samples.  A spent stage budget
-                # can retire the handle while routed-but-unadmitted
-                # requests still sit in its queue — hand those back to
-                # the router atomically with the transition, before the
-                # handle leaves the live set.
-                self._handoff_queued(t, handle)
-                handle.set_state(t, ReplicaState.RETIRED)
-            else:
+            handle.driver.drain_until(t, limits)
+            if handle.has_work and not handle.budget_spent(limits):
                 still_draining.append(handle)
+                continue
+            for request in handle.harvest_queued():
+                self._push_retry(t, request)
+            handle.set_state(t, ReplicaState.RETIRED)
         self._draining = still_draining
 
     def _starts_warm(self, handle: ManagedReplica) -> bool:
@@ -592,10 +577,10 @@ class ElasticFleetSimulator(ClusterSimulator):
                 provisioned_at=t,
             )
             handle.warming_at = t + self.provision_delay_s
-            # Provisional (cold) schedule; _update_lifecycle re-derives
-            # the dwell when WARMING actually begins.
+            # Provisional (cold) schedule; _boot re-derives the dwell when
+            # WARMING actually begins.
             handle.active_at = handle.warming_at + self.warmup_delay_s
-            self._lifecycle_clock.schedule(handle.index, handle.warming_at)
+            self._calendar.schedule((self._boot, handle.index), handle.warming_at)
 
     def _scale_down(self, t: float, n: int) -> None:
         # Cancel still-booting replicas first (no work to drain), newest
@@ -606,7 +591,7 @@ class ElasticFleetSimulator(ClusterSimulator):
                 if n == 0:
                     return
                 handle.set_state(t, ReplicaState.RETIRED)
-                self._lifecycle_clock.cancel(handle.index)
+                self._calendar.cancel((self._boot, handle.index))
                 n -= 1
         active = [h for h in self.handles if h.state is ReplicaState.ACTIVE]
         droppable = len(active) - self.min_replicas
@@ -734,23 +719,22 @@ class ElasticFleetSimulator(ClusterSimulator):
         self._tbt_cursors.clear()
         self._util_cursors.clear()
 
-    def _route_arrival(self, arrival: float, limits: SimulationLimits) -> None:
-        # Lifecycle first: a replica whose boot completed before this
-        # arrival joins the routing set now, and drains that emptied
-        # retire before being advanced as live capacity.
-        self._update_lifecycle(arrival, limits)
+    def _route_arrival(self, arrival: float) -> None:
+        # Drains that emptied retire before the fleet advances as live
+        # capacity (boots due by now have fired off the calendar).
+        self._retire_drained(arrival)
         self._note_arrival(arrival)
-        super()._route_arrival(arrival, limits)
+        super()._route_arrival(arrival)
 
-    def _control_tick(self, t: float, limits: SimulationLimits) -> None:
-        self._update_lifecycle(t, limits)
+    def _control(self, t: float) -> None:
+        self._retire_drained(t)
         self._observe_latencies()
-        view = self._fleet_view(t, self._utilization_since_last())
+        utilization = self._utilization_since_last()
         if not self._drain_phase:
             # No scaling decisions during the final drain (there are no
-            # arrivals left to serve) — but lifecycle still advances so
-            # draining replicas retire, and the time series keeps
-            # recording.
+            # arrivals left to serve) — but draining replicas still
+            # retire, and the time series keeps recording.
+            view = self._fleet_view(t, utilization)
             target = self.policy.target_replicas(view)
             target = max(self.min_replicas, min(self.max_replicas, target))
             pool = view.scaling_pool
@@ -760,39 +744,16 @@ class ElasticFleetSimulator(ClusterSimulator):
                 self._scale_down(t, pool - target)
         # Sample *after* the decision so every transition stamped <= t is
         # reflected by the sample at t (the time series replays exactly
-        # against the event log).  A scaling action can only change the
-        # per-state counts — new handles hold no work and drains keep
-        # theirs — so patch them onto the decision view instead of
-        # rebuilding it.
-        counts = {state: 0 for state in ReplicaState}
-        for handle in self.handles:
-            counts[handle.state] += 1
-        self._record_fleet_sample(
-            t,
-            replace(
-                view,
-                provisioning=counts[ReplicaState.PROVISIONING],
-                warming=counts[ReplicaState.WARMING],
-                active=counts[ReplicaState.ACTIVE],
-                draining=counts[ReplicaState.DRAINING],
-                retired=counts[ReplicaState.RETIRED],
-            ),
-        )
-        super()._control_tick(t, limits)  # cadence sample + grid advance
+        # against the event log).  Scaling moves no work, so only the
+        # per-state counts differ from the decision view.
+        self._record_fleet_sample(t, self._fleet_view(t, utilization))
 
-    def _finish_drain(self, limits: SimulationLimits) -> None:
+    def _finish_drain(self) -> None:
         clocks = max((h.now_s for h in self.handles), default=0.0)
         end = max(clocks, self._last_sample_s)  # keep the series monotone
-        for handle in self.handles:
-            if handle.state is ReplicaState.DRAINING and (
-                not handle.has_work or handle.budget_spent(limits)
-            ):
-                # Same atomic handoff as _update_lifecycle: a spent-budget
-                # retirement must not swallow queued-but-unadmitted
-                # requests (here, at run end, they surface as undispatched
-                # recovery entries rather than silently vanishing).
-                self._handoff_queued(end, handle)
-                handle.set_state(end, ReplicaState.RETIRED)
-        self._draining = [h for h in self._draining if h.state is ReplicaState.DRAINING]
+        # A spent-budget retirement here hands its queued requests back as
+        # retries that never fire: they surface as undispatched recovery
+        # entries rather than silently vanishing.
+        self._retire_drained(end)
         self._observe_latencies()
         self._record_fleet_sample(end, self._fleet_view(end, self._utilization_since_last()))

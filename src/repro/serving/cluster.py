@@ -45,19 +45,23 @@ Routing policies:
 Time model: replicas advance independently in stage-latency jumps.  Before
 a request is routed at arrival time ``t``, every replica simulates up to
 ``t``, so routers observe each replica's load as of (at worst one stage
-before) the arrival — the same staleness a real router tolerates.  The
-queue-depth telemetry samples on every routing event *and* on a fixed
-virtual-clock cadence (``sample_interval_s``), so idle, drain, and
-post-burst periods show up in the time series; cadence samples taken
-between arrivals read each replica's state as of its last advancement
-(the router's own staleness), while drain-phase cadence samples advance
-the fleet in time slices and read true depths.
+before) the arrival — the same staleness a real router tolerates.  Every
+timed fleet event (crash detections, repairs, retries, elastic boots)
+fires at its own instant off one fleet calendar, an
+:class:`~repro.serving.columnar.EventClock`.  The control tick is a cursor
+on the ``sample_interval_s`` virtual-time grid that fires after every
+calendar event due at its instant; it samples queue depths (as does every
+routing event), so idle, drain, and post-burst periods show up in the
+time series.  Ticks between arrivals read each replica's state as of its
+last advancement (the router's own staleness), while the drain phase
+advances the fleet in slices up to each control instant and reads true
+depths.
 """
 
 from __future__ import annotations
 
 import enum
-import heapq
+import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -68,6 +72,7 @@ from repro.core.executor import StageWorkload
 from repro.core.system import SystemConfig, default_topology, sharded_system
 from repro.errors import CapacityError, ConfigError, SchedulingError, SimulationError
 from repro.models.config import ModelConfig
+from repro.serving.columnar import EventClock
 from repro.serving.engine import KvPagingCoordinator, ServingEngine, SimulationLimits
 from repro.serving.faults import FaultInjector, RetryPolicy
 from repro.serving.generator import QueueSource, RequestSource, WorkloadSpec, resolve_source
@@ -944,8 +949,6 @@ class ClusterSimulator:
         spec: ReplicaSpec,
         state: ReplicaState = ReplicaState.ACTIVE,
         provisioned_at: float = 0.0,
-        warming_at: float | None = None,
-        active_at: float | None = None,
     ) -> ManagedReplica:
         """Build one replica from ``spec`` and register it.
 
@@ -1009,8 +1012,6 @@ class ClusterSimulator:
             driver,
             state=state,
             provisioned_at=provisioned_at,
-            warming_at=warming_at,
-            active_at=active_at,
         )
         self._attach_fault_profiles(handle)
         self.handles.append(handle)
@@ -1046,29 +1047,28 @@ class ClusterSimulator:
         return sum(handle.completions for handle in self.handles)
 
     # ------------------------------------------------------------------
-    # control ticks (fixed-cadence telemetry; elastic adds lifecycle)
+    # the fleet calendar and the control tick
     # ------------------------------------------------------------------
     def _begin_run(self, limits: SimulationLimits) -> None:
         """Per-run state initialisation (the single init site)."""
+        self._limits = limits
         self._samples: list[QueueDepthSample] = []
         self._fleet_samples: list[FleetSample] = []  # elastic fleets only
         self._routed = 0
         self._next_sample_s = (
             self.sample_interval_s if self.sample_interval_s is not None else float("inf")
         )
-        # Failure-recovery run state — all of it inert (empty heaps, no
-        # RNG draws) when no fault source fires, which is what keeps an
-        # armed-but-quiescent injector byte-identical to faults=None.
-        self._fault_due: list[tuple[float, int, str, int]] = []
-        self._retry_due: list[
-            tuple[float, int, Request, int, float, MetricsCollector | None]
-        ] = []
-        self._fault_seq = 0
-        self._crash_at: dict[int, float] = {}
-        self._crash_cause: dict[int, str] = {}
+        # The fleet calendar, keyed ``(handler, argument)``.  Failure
+        # recovery stays inert (nothing scheduled, no RNG draws) when no
+        # fault source fires, which is what keeps an armed-but-quiescent
+        # injector byte-identical to faults=None.
+        self._calendar = EventClock()
+        self._retries: dict[int, tuple[Request, int, float, MetricsCollector | None]] = {}
+        self._tickets = itertools.count()
+        self._crash_at: dict[int, tuple[float, str]] = {}  # undetected: (crash_s, cause)
         self._tenant_retry_spent: dict[str, int] = {}
         self._lost_requests: list[Request] = []
-        self._open_outages: list[tuple[int, float]] = []
+        self._open_outages: dict[int, float] = {}  # index -> crash_s, in detection order
         self._unavailability_s = 0.0
         self._replay_price_cache: dict[tuple[int, int], tuple[float, float]] = {}
         self._drain_phase = False
@@ -1078,13 +1078,30 @@ class ClusterSimulator:
                     self._arm_crash(handle, handle.activated_at or 0.0)
 
     def _next_control_s(self) -> float:
-        """Next control instant: telemetry cadence, fault event, or retry."""
-        t = self._next_sample_s
-        if self._fault_due:
-            t = min(t, self._fault_due[0][0])
-        if self._retry_due:
-            t = min(t, self._retry_due[0][0])
-        return t
+        """Next control instant: the next calendar event or cadence tick."""
+        return min(self._calendar.next_time(), self._next_sample_s)
+
+    def _fire(self, t: float) -> None:
+        """Fire every calendar event due by ``t`` — including those their
+        handlers schedule at ``t``, such as a detection's free re-routes —
+        then the control tick if ``t`` lies on the sampling grid: its
+        samples see every event of its instant, and events between grid
+        points emit none."""
+        calendar = self._calendar
+        while calendar.next_time() <= t:
+            for handler, arg in calendar.pop_due(t):
+                handler(t, arg)
+        if t >= self._next_sample_s:
+            self._control(t)
+            self._emit_cadence_sample(t)
+            self._next_sample_s = t + self.sample_interval_s
+
+    def _control(self, t: float) -> None:
+        """The tick's controller step, before its cadence sample (the
+        elastic controller retires drains, scales and samples the fleet)."""
+
+    def _finish_drain(self) -> None:
+        """Post-drain lifecycle hook (the elastic controller retires)."""
 
     def _fleet_depths(self) -> tuple[int, ...]:
         return tuple(handle.view().queue_depth for handle in self.handles)
@@ -1112,25 +1129,6 @@ class ClusterSimulator:
             raise ConfigError(f"{self.router.name} routed to invalid replica {index}")
         return chosen
 
-    def _control_tick(self, t: float, limits: SimulationLimits) -> None:
-        """One control tick: between arrivals, or after a drain slice.
-
-        Fault events (crash detection, repair) and due retries are
-        serviced first; the telemetry cadence then samples only when the
-        tick actually lies on the sampling grid — fault events fire
-        between grid points without emitting extra samples, so a fixed
-        fleet with faults off is stage-for-stage identical to one that
-        never ticks faults at all.  The elastic controller overrides
-        this to also run lifecycle updates and the autoscaling policy.
-        """
-        self._service_faults(t, limits)
-        if t >= self._next_sample_s:
-            self._emit_cadence_sample(t)
-            self._next_sample_s = t + self.sample_interval_s
-
-    def _finish_drain(self, limits: SimulationLimits) -> None:
-        """Post-drain lifecycle hook (the elastic controller retires)."""
-
     # ------------------------------------------------------------------
     # failure injection and recovery
     # ------------------------------------------------------------------
@@ -1154,24 +1152,18 @@ class ClusterSimulator:
         sampled = self.faults.sample_crash(handle.index, active_from_s, n_devices)
         if sampled is None:
             return
-        crash_s, cause = sampled
-        self._crash_at[handle.index] = crash_s
-        self._crash_cause[handle.index] = cause
-        self._push_fault_event(
-            crash_s + self.faults.detection_latency_s, "detect", handle.index
+        self._crash_at[handle.index] = sampled
+        self._calendar.schedule(
+            (self._detect_crash, handle.index), sampled[0] + self.faults.detection_latency_s
         )
-
-    def _push_fault_event(self, t: float, kind: str, index: int) -> None:
-        self._fault_seq += 1
-        heapq.heappush(self._fault_due, (t, self._fault_seq, kind, index))
 
     def _push_retry(
         self,
         ready_s: float,
         request: Request,
-        cached: int,
-        backoff_s: float,
-        metrics: MetricsCollector | None,
+        cached: int = -1,
+        backoff_s: float = 0.0,
+        metrics: MetricsCollector | None = None,
     ) -> None:
         """Queue a request for re-admission at ``ready_s``.
 
@@ -1179,10 +1171,9 @@ class ClusterSimulator:
         survived (adoptable); ``metrics`` is the dead replica's collector
         (None for free re-routes of never-admitted requests).
         """
-        self._fault_seq += 1
-        heapq.heappush(
-            self._retry_due, (ready_s, self._fault_seq, request, cached, backoff_s, metrics)
-        )
+        ticket = next(self._tickets)
+        self._retries[ticket] = (request, cached, backoff_s, metrics)
+        self._calendar.schedule((self._retry, ticket), ready_s)
 
     def _capped(self, handle: ManagedReplica, t: float) -> float:
         """Advance target capped at the handle's undetected crash instant.
@@ -1192,27 +1183,10 @@ class ClusterSimulator:
         routed requests (the health checker has not noticed yet) but
         processes nothing.
         """
-        crash_s = self._crash_at.get(handle.index)
-        return t if crash_s is None else min(t, crash_s)
+        crash = self._crash_at.get(handle.index)
+        return t if crash is None else min(t, crash[0])
 
-    def _service_faults(self, t: float, limits: SimulationLimits) -> None:
-        """Process every fault event and due retry up to ``t``."""
-        while self._fault_due and self._fault_due[0][0] <= t:
-            te, _, kind, index = heapq.heappop(self._fault_due)
-            if kind == "detect":
-                self._detect_crash(te, index, limits)
-            else:
-                self._repair_replica(te, index)
-        if self._retry_due and self._retry_due[0][0] <= t:
-            due = []
-            while self._retry_due and self._retry_due[0][0] <= t:
-                due.append(heapq.heappop(self._retry_due))
-            # Drained before dispatching: a retry re-queued at exactly t
-            # (no capacity yet) must wait for the next tick, not spin.
-            for _, _, request, cached, backoff_s, metrics in due:
-                self._dispatch_retry(t, request, cached, backoff_s, metrics, limits)
-
-    def _detect_crash(self, t: float, index: int, limits: SimulationLimits) -> None:
+    def _detect_crash(self, t: float, index: int) -> None:
         """The health checker notices a crash: fail the replica, harvest.
 
         ``t`` is the detection instant (crash + detection latency); the
@@ -1221,46 +1195,32 @@ class ClusterSimulator:
         policy, with MIGRATE-parked victims carrying their surviving
         host-side KV so a paged target can adopt instead of re-prefill.
         """
-        crash_s = self._crash_at.pop(index, None)
-        cause = self._crash_cause.pop(index, "replica")
-        if crash_s is None:
-            return
+        crash_s, cause = self._crash_at.pop(index)
         handle = self.handles[index]
-        if handle.state in (ReplicaState.RETIRED, ReplicaState.FAILED):
-            return
         handle.set_state(t, ReplicaState.FAILED)
-        self._open_outages.append((index, crash_s))
+        self._open_outages[index] = crash_s
         metrics = handle.metrics
         metrics.record_crash(device_level=cause == "device")
         queued, active, parked = handle.harvest_in_flight()
         for request in queued:
-            self._push_retry(t, request, -1, 0.0, None)
+            self._push_retry(t, request)
         for request in active:
             self._account_lost_work(metrics, handle, request)
             self._schedule_retry(t, request, -1, metrics)
         for request, cached in parked:
             self._schedule_retry(t, request, cached, metrics)
         assert self.faults is not None
-        if self.faults.config.crash_mttr_s is not None:
-            self._push_fault_event(t + self.faults.config.crash_mttr_s, "repair", index)
+        mttr = self.faults.config.crash_mttr_s
+        if mttr is not None:
+            self._calendar.schedule((self._repair_replica, index), t + mttr)
 
     def _repair_replica(self, t: float, index: int) -> None:
         """In-place repair: the FAILED replica rejoins the routing set."""
         handle = self.handles[index]
-        if handle.state is not ReplicaState.FAILED:
-            return
         handle.set_state(t, ReplicaState.ACTIVE)
         handle.jump_to(t)
-        self._close_outage(t, index)
+        self._unavailability_s += max(0.0, t - self._open_outages.pop(index))
         self._arm_crash(handle, t)
-
-    def _close_outage(self, t: float, index: int) -> None:
-        """Close ``index``'s outage at ``t``."""
-        pos = next((i for i, (idx, _) in enumerate(self._open_outages) if idx == index), None)
-        if pos is None:
-            return
-        _, crash_s = self._open_outages.pop(pos)
-        self._unavailability_s += max(0.0, t - crash_s)
 
     def _account_lost_work(
         self, metrics: MetricsCollector, handle: ManagedReplica, request: Request
@@ -1328,16 +1288,9 @@ class ClusterSimulator:
         delay = retry.delay_s(request.attempts, rng)
         self._push_retry(t + delay, request, cached, delay, metrics)
 
-    def _dispatch_retry(
-        self,
-        t: float,
-        request: Request,
-        cached: int,
-        backoff_s: float,
-        source_metrics: MetricsCollector | None,
-        limits: SimulationLimits,
-    ) -> None:
+    def _retry(self, t: float, ticket: int) -> None:
         """Re-route one recovered request through the cluster router."""
+        request, cached, backoff_s, source_metrics = self._retries.pop(ticket)
         candidates = self._routable_handles()
         if not candidates:
             restore_s = self._capacity_restore_s()
@@ -1347,7 +1300,7 @@ class ClusterSimulator:
                 self._lost_requests.append(request)
             return
         for handle in candidates:
-            handle.driver.advance_to(self._capped(handle, t), limits)
+            handle.driver.advance_to(self._capped(handle, t), self._limits)
         chosen = self._choose(candidates, request)
         if cached >= 0:
             # A prefix-sharing victim's host copy covers only its private
@@ -1389,53 +1342,34 @@ class ClusterSimulator:
             return None
         return coordinator
 
-    def _recovery_pending(self, limits: SimulationLimits) -> bool:
+    def _recovery_pending(self) -> bool:
         """Whether the drain loop must keep slicing for recovery work.
 
-        True while retries wait for their backoff, or while a crashed
-        replica still holds stranded work the health checker has not
-        harvested yet.  A detect event whose crash falls beyond the
+        True while retries are queued, or while an undetected crash sits
+        on a replica with work and stage budget left.  A crash beyond the
         simulated work never blocks: its replica finishes (or exhausts
         its stage budget — a truncated replica can never process the
-        stranded work anyway) and drops out of the worker set, and the
-        event dies with the calendar.
+        stranded work anyway) and drops out of the worker set, and its
+        detection dies with the calendar.
         """
-        if self._retry_due:
-            return True
-        for _, _, kind, index in self._fault_due:
-            if kind != "detect":
-                continue
-            handle = self.handles[index]
-            if (
-                handle.state not in (ReplicaState.RETIRED, ReplicaState.FAILED)
-                and handle.has_work
-                and not handle.budget_spent(limits)
-            ):
-                return True
-        return False
+        return bool(self._retries) or any(
+            self.handles[index].has_work and not self.handles[index].budget_spent(self._limits)
+            for index in self._crash_at
+        )
 
     def _capacity_restore_s(self) -> float:
-        """Earliest known instant a crashed replica is repaired (inf =
-        never): a scheduled repair, or a pending detection plus MTTR."""
-        best = float("inf")
-        mttr = self.faults.config.crash_mttr_s if self.faults is not None else None
-        for te, _, kind, _ in self._fault_due:
-            if kind == "repair":
-                best = min(best, te)
-            elif mttr is not None:
-                best = min(best, te + mttr)
-        return best
+        """Earliest instant a FAILED replica is repaired (inf = never).
 
-    def _handoff_queued(self, t: float, handle: ManagedReplica) -> None:
-        """Re-route a retiring replica's queued-but-unadmitted requests.
-
-        The DRAINING-exit edge case: a replica retired on a spent stage
-        budget may still hold routed requests it never admitted — they
-        are handed back to the router (free, no attempt charge) instead
-        of vanishing with the handle.
+        Asked only when no replica is ACTIVE, so every crash is detected
+        (an undetected crash leaves its replica ACTIVE).
         """
-        for request in handle.harvest_queued():
-            self._push_retry(t, request, -1, 0.0, None)
+        mttr = self.faults.config.crash_mttr_s if self.faults is not None else None
+        if mttr is None:
+            return float("inf")
+        return min(
+            (h.failed_at + mttr for h in self.handles if h.state is ReplicaState.FAILED),
+            default=float("inf"),
+        )
 
     # ------------------------------------------------------------------
     # the run loop
@@ -1466,20 +1400,18 @@ class ClusterSimulator:
             arrival = self.source.peek_arrival()
             tick = self._next_control_s()
             if arrival < float("inf") and tick <= min(arrival, horizon):
-                self._control_tick(tick, limits)
+                self._fire(tick)
                 continue
-            if arrival == float("inf"):
+            if arrival == float("inf") or arrival > horizon:
                 break
-            if arrival > horizon:
-                break
-            self._route_arrival(arrival, limits)
-        self._drain_fleet(limits)
+            self._route_arrival(arrival)
+        self._drain_fleet()
         return self._report(self._samples)
 
-    def _route_arrival(self, arrival: float, limits: SimulationLimits) -> None:
+    def _route_arrival(self, arrival: float) -> None:
         """Advance the fleet to ``arrival`` and route the next request."""
         for handle in self._advanceable_handles():
-            handle.driver.advance_to(self._capped(handle, arrival), limits)
+            handle.driver.advance_to(self._capped(handle, arrival), self._limits)
         request = self.source.take(arrival)
         candidates = self._routable_handles()
         if not candidates:
@@ -1488,7 +1420,7 @@ class ClusterSimulator:
             restore_s = self._capacity_restore_s()
             if restore_s == float("inf"):
                 raise SimulationError("no ACTIVE replica to route to, and no repair in sight")
-            self._push_retry(max(arrival, restore_s), request, -1, 0.0, None)
+            self._push_retry(max(arrival, restore_s), request)
             self._routed += 1
             return
         chosen = self._choose(candidates, request)
@@ -1496,26 +1428,27 @@ class ClusterSimulator:
         self._routed += 1
         self._emit_routing_sample(arrival)
 
-    def _drain_fleet(self, limits: SimulationLimits) -> None:
+    def _drain_fleet(self) -> None:
         """Finish everything routed, sampling on the cadence grid.
 
         One loop: each pass drains every replica with work and budget
-        left up to the next control instant, then ticks.  With sampling
-        disabled and no fault events that is one whole-replica drain.
-        With sampling enabled the fleet drains in ``sample_interval_s``
-        time slices — each slice runs exactly the stage sequence a
-        monolithic drain would (see
+        left up to the next control instant (calendar event or tick),
+        then fires it.  With sampling disabled and no fault events that
+        is one whole-replica drain.  With sampling enabled the fleet
+        drains in ``sample_interval_s`` time slices — each slice runs
+        exactly the stage sequence a monolithic drain would (see
         :meth:`~repro.serving.engine.ServingEngine.drain_until`), so the
         telemetry gains drain-phase samples without perturbing metrics.
         """
         self._drain_phase = True
+        limits = self._limits
         while True:
             workers = [
                 h
                 for h in self._advanceable_handles()
                 if h.has_work and not h.budget_spent(limits)
             ]
-            if not workers and not self._recovery_pending(limits):
+            if not workers and not self._recovery_pending():
                 break
             # An empty control calendar (sampling off, and every armed
             # crash fired or fell beyond the simulated work) is one slice
@@ -1524,8 +1457,8 @@ class ClusterSimulator:
             for handle in workers:
                 handle.driver.drain_until(self._capped(handle, t), limits)
             if t < float("inf"):
-                self._control_tick(t, limits)
-        self._finish_drain(limits)
+                self._fire(t)
+        self._finish_drain()
 
     # ------------------------------------------------------------------
     # reporting
@@ -1545,9 +1478,9 @@ class ClusterSimulator:
         # Fleet-level failure accounting: outages still open at fleet end
         # run to fleet end, and permanently lost requests are charged to
         # the pooled collector (all no-ops on a fault-free run).
-        for _, crash_s in self._open_outages:
+        for crash_s in self._open_outages.values():
             self._unavailability_s += max(0.0, fleet_end - crash_s)
-        self._open_outages = []
+        self._open_outages = {}
         if self._unavailability_s > 0.0:
             fleet.record_unavailability(self._unavailability_s)
         for request in self._lost_requests:

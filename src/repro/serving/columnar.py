@@ -1,9 +1,10 @@
-"""The serving core's heap event clock.
+"""The fleet calendar: a heap event clock.
 
 :class:`EventClock` is a binary-heap pending-event index with lazy
 cancellation, replacing linear next-event scans; it pops events in exact
-``(time, insertion)`` order.  The elastic fleet keys its replica
-lifecycle wakeups on it.
+``(time, insertion)`` order.  A fleet run keeps every timed event on one
+(crash detections, repairs, retries and elastic boot milestones; see
+:mod:`repro.serving.cluster`).
 """
 
 from __future__ import annotations

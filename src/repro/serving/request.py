@@ -26,9 +26,12 @@ class RequestState(enum.Enum):
     FINISHED = "finished"
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Request:
     """One inference request.
+
+    Requests compare by identity: one object is one request through its
+    whole lifecycle, so two live requests are never interchangeable.
 
     Attributes:
         request_id: unique id.

@@ -32,6 +32,7 @@ from repro.serving.autoscaler import (
 )
 from repro.serving.cluster import (
     ClusterSimulator,
+    ReplicaEvent,
     ReplicaState,
     RoundRobinRouter,
 )
@@ -47,6 +48,7 @@ from repro.serving.scenarios import (
     TenantSpec,
 )
 from repro.serving.simulator import SimulationLimits
+from repro.serving.trace import TraceRecord, TraceReplayGenerator
 
 pytestmark = pytest.mark.elastic
 
@@ -521,11 +523,12 @@ class TestEndToEndSloScaling:
 class TestDrainingExitHandoff:
     """A spent-budget DRAINING exit hands queued work back atomically.
 
-    White-box: drives ``_update_lifecycle`` directly so the test can pin
+    White-box: drives ``_retire_drained`` directly so the test can pin
     the exact instant the handle retires with a routed-but-unadmitted
-    request still in its queue — the request must land in the cluster
-    retry heap (free re-route, no attempt charge) in the same call that
-    logs the RETIRED transition, never vanish with the handle.
+    request still in its queue — the request must land in the cluster's
+    retry table, due on the fleet calendar at that instant (free
+    re-route, no attempt charge), in the same call that logs the RETIRED
+    transition, never vanish with the handle.
     """
 
     def test_spent_budget_retire_requeues_unadmitted_requests(self):
@@ -543,14 +546,42 @@ class TestDrainingExitHandoff:
         # One stage admits `first` (max_batch=1) and spends the whole
         # budget; `second` is still queued when the drain walk observes
         # the spent budget at t=1.0.
-        sim._update_lifecycle(1.0, limits)
+        sim._retire_drained(1.0)
 
         assert handle.state is ReplicaState.RETIRED
         assert sim._draining == []
         assert len(handle.inbox) == 0
         assert not handle.engines[0].scheduler.waiting
-        [(ready_s, _, requeued, cached, backoff_s, metrics)] = sim._retry_due
+        [(requeued, cached, backoff_s, metrics)] = sim._retries.values()
         assert requeued is second
-        assert ready_s == 1.0  # immediately re-routable at the tick
+        assert sim._calendar.next_time() == 1.0  # immediately re-routable
         assert cached == -1 and backoff_s == 0.0 and metrics is None
         assert requeued.attempts == 1  # free re-route: no attempt charge
+
+    def test_handed_back_request_fires_off_the_calendar_not_a_tick(self):
+        """The handoff retry re-routes at its own instant, off the grid.
+
+        Replica 0 drains two requests under a one-stage budget; at the
+        0.5 s arrival it retires with the second still queued.  The
+        retry fires at 0.5 s without running the controller, so the
+        fleet time series keeps its fixed cadence: the grid tick at 1 s
+        and the run-end sample.
+        """
+        trace = TraceReplayGenerator([TraceRecord(arrival_s=0.5, input_len=64, output_len=8)])
+        sim = elastic(
+            StaticReplicaPolicy(2), min_replicas=2, max_replicas=2, max_batch=1, seed=0,
+            workload=trace, max_requests=None,
+        )
+        handle = sim.handles[0]
+        queued = Request(request_id=101, arrival_time_s=0.0, input_len=64, output_len=8)
+        handle.route(Request(request_id=100, arrival_time_s=0.0, input_len=64, output_len=8))
+        handle.route(queued)
+        handle.set_state(0.0, ReplicaState.DRAINING)
+        sim._draining.append(handle)
+
+        report = sim.run(SimulationLimits(max_stages=1, warmup_stages=0))
+
+        assert report.replica_events[-1] == ReplicaEvent(time_s=0.5, replica=0, state="retired")
+        assert sim.handles[1].inbox.accepted == 2  # the arrival and the retry
+        assert queued.attempts == 1
+        assert [sample.time_s for sample in report.fleet_samples] == [1.0, 1.0]

@@ -548,7 +548,7 @@ def _stopped_full_replica(stop_s: float, columnar: bool):
     commits = _record_commits(engine.scheduler)
     sim._begin_run(FULL_LIMITS)
     while sim.source.peek_arrival() <= stop_s:
-        sim._route_arrival(sim.source.peek_arrival(), FULL_LIMITS)
+        sim._route_arrival(sim.source.peek_arrival())
     handle.driver.advance_to(stop_s, FULL_LIMITS)
     return handle, commits
 

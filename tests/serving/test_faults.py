@@ -383,7 +383,7 @@ def stopped_replica(case):
     )
     sim._begin_run(HARVEST_LIMITS)
     while sim.source.peek_arrival() <= stop_s:
-        sim._route_arrival(sim.source.peek_arrival(), HARVEST_LIMITS)
+        sim._route_arrival(sim.source.peek_arrival())
     handle = sim.handles[0]
     handle.driver.advance_to(stop_s, HARVEST_LIMITS)
     return handle
@@ -424,6 +424,34 @@ class TestCrashHarvest:
             assert parked == []
         assert handle.in_flight == 0
         assert all(s.committed_tokens == 0 for s in (first, last))
+
+
+# ----------------------------------------------------------------------
+# the fleet calendar: the control tick fires last at its instant
+# ----------------------------------------------------------------------
+class TestFleetCalendar:
+    def test_cadence_sample_sees_every_event_of_its_instant(self):
+        """A repair, eight held arrivals and a grid tick all due at 1 s.
+
+        The lone replica crashes at 0.4 s and is detected at 0.5 s, so
+        every arrival from 0.55 s on is held for the 1 s repair.  The
+        calendar fires the repair and the eight re-routes first; the
+        cadence sample of the 1 s tick comes last and reads all eight
+        queued.
+        """
+        trace = TraceReplayGenerator(
+            [TraceRecord(arrival_s=0.55 + 0.05 * i, input_len=512, output_len=32) for i in range(8)]
+        )
+        faults = FaultInjector(
+            FaultConfig(crash_times=((0.4, 0),), crash_mttr_s=0.5, detection_latency_s=0.1)
+        )
+        sim = ClusterSimulator(SYSTEM, MODEL, trace, n_replicas=1, seed=1, faults=faults)
+        report = sim.run(SimulationLimits(max_stages=20_000, warmup_stages=0))
+
+        at_repair = [s for s in report.queue_depth_samples if s.time_s == 1.0]
+        assert [s.kind for s in at_repair] == ["routing"] * 8 + ["cadence"]
+        assert at_repair[-1].depths == (8,)
+        assert report.fleet.requests_completed == 8
 
 
 # ----------------------------------------------------------------------
