@@ -565,13 +565,14 @@ class ManagedReplica:
             engine.jump_to(t)
 
     def harvest_queued(self) -> list[Request]:
-        """Strip and return every routed-but-unadmitted request (handoff)."""
-        queued: list[Request] = []
+        """Strip and return every routed-but-unadmitted request (handoff),
+        in arrival order: admission moves every arrived request from the
+        inbox to the first engine's queue, so the queue comes first."""
+        waiting = self.engines[0].scheduler.waiting
+        queued = list(waiting)
+        waiting.clear()
         while len(self.inbox):
             queued.append(self.inbox.take(0.0))
-        waiting = self.engines[0].scheduler.waiting
-        queued.extend(waiting)
-        waiting.clear()
         return queued
 
     def harvest_in_flight(self) -> tuple[list[Request], list[Request], list[tuple[Request, int]]]:

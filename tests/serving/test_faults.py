@@ -397,7 +397,7 @@ class TestCrashHarvest:
         # Trace request ids count up from 0 in arrival order.
         finished = {rid for engine in handle.engines for rid in engine.finished_ids}
         unfinished = set(range(handle.inbox.accepted)) - finished
-        expected_queued = list(handle.inbox._queue) + list(first.waiting)
+        expected_queued = list(first.waiting) + list(handle.inbox._queue)
         first_running = list(first.running)
         last_running = list(last.running)
         if case == "split":
@@ -424,6 +424,30 @@ class TestCrashHarvest:
             assert parked == []
         assert handle.in_flight == 0
         assert all(s.committed_tokens == 0 for s in (first, last))
+
+    def test_queued_requests_come_back_in_arrival_order(self):
+        """The queue holds earlier arrivals than the inbox, so it leads.
+
+        Batch 1: the first stage admits request 0 and queues 1 and 2;
+        request 3 arrives during that stage and waits in the inbox.
+        """
+        trace = TraceReplayGenerator(
+            [
+                TraceRecord(arrival_s=arrival_s, input_len=512, output_len=64)
+                for arrival_s in (0.0, 0.0, 0.0, 0.001)
+            ]
+        )
+        sim = ClusterSimulator(SYSTEM, MODEL, trace, n_replicas=1, max_batch=1, seed=1)
+        sim._begin_run(HARVEST_LIMITS)
+        while sim.source.peek_arrival() < float("inf"):
+            sim._route_arrival(sim.source.peek_arrival())
+        handle = sim.handles[0]
+        assert len(handle.inbox) == 1
+
+        queued, active, _ = handle.harvest_in_flight()
+
+        assert [r.request_id for r in queued] == [1, 2, 3]
+        assert [r.request_id for r in active] == [0]
 
 
 # ----------------------------------------------------------------------
