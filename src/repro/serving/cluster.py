@@ -701,8 +701,8 @@ class QueueDepthSample:
 class FleetSample:
     """One fixed-cadence snapshot of fleet composition and load.
 
-    The elastic controller records one per control tick (and per drain
-    slice), so the series shows scaling behaviour over virtual time:
+    The elastic controller records one per control tick and one at run
+    end, so the series shows scaling behaviour over virtual time:
     replica counts per lifecycle state, aggregate queue depth and
     outstanding KV tokens, the ACTIVE replicas' busy fraction *since the
     previous sample* (an instantaneous load signal, like queue depth),
@@ -721,16 +721,11 @@ class FleetSample:
     utilization: float
     routed_requests: int
     shed_requests: int
-    failed: int = 0
 
     @property
     def provisioned(self) -> int:
-        """Replicas currently paid for (everything except RETIRED).
-
-        FAILED replicas count: the hardware is still allocated to the
-        fleet until it is repaired or the handle is retired.
-        """
-        return self.provisioning + self.warming + self.active + self.draining + self.failed
+        """Replicas currently paid for (everything except RETIRED)."""
+        return self.provisioning + self.warming + self.active + self.draining
 
 
 @dataclass(frozen=True)
