@@ -33,10 +33,10 @@ Time model: boot milestones fire at their own instants off the cluster's
 fleet calendar (see :mod:`repro.serving.cluster`).  Control ticks never
 advance ACTIVE engines (they read the same possibly-stale state routers
 see — decisions take effect from the next event), but ticks and arrivals
-advance DRAINING replicas so drains complete in a timely fashion.  Under :class:`StaticReplicaPolicy` no replica ever
-leaves ACTIVE, so an elastic fleet is stage-for-stage identical to the
-fixed :class:`ClusterSimulator` — the equivalence test in
-``tests/serving/test_autoscaler.py`` pins that.
+advance DRAINING replicas so drains complete in a timely fashion.  Under
+:class:`StaticReplicaPolicy` no replica ever leaves ACTIVE, so an elastic
+fleet is stage-for-stage identical to the fixed :class:`ClusterSimulator`
+— the equivalence test in ``tests/serving/test_autoscaler.py`` pins that.
 """
 
 from __future__ import annotations

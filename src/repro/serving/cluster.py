@@ -1054,10 +1054,11 @@ class ClusterSimulator:
         self._next_sample_s = (
             self.sample_interval_s if self.sample_interval_s is not None else float("inf")
         )
-        # The fleet calendar, keyed ``(handler, argument)``.  Failure
-        # recovery stays inert (nothing scheduled, no RNG draws) when no
-        # fault source fires, which is what keeps an armed-but-quiescent
-        # injector byte-identical to faults=None.
+        # The fleet calendar, keyed ``(handler, argument)``: detections,
+        # repairs and boots by replica index, retries by a ticket into
+        # ``_retries``.  Failure recovery stays inert (nothing scheduled,
+        # no RNG draws) when no fault source fires, which is what keeps an
+        # armed-but-quiescent injector byte-identical to faults=None.
         self._calendar = EventClock()
         self._retries: dict[int, tuple[Request, int, float, MetricsCollector | None]] = {}
         self._tickets = itertools.count()
