@@ -17,9 +17,16 @@ fast:  ## CI fast stage: tests without the figure benchmarks
 slow:  ## CI slow stage entry: benchmarks only (goldens, sweeps)
 	$(PYTEST) benchmarks -x -q
 
-identity:  ## outputs byte-identical to the checkout: regenerate goldens and figure tables, diff
+SWEEPS := capacity sharding chaos prefix
+
+identity:  ## outputs byte-identical to the checkout: regenerate goldens, figure tables and sweep smokes, diff
 	$(PYTEST) tests/golden -q --update-golden
 	$(PYTEST) benchmarks -x -q
+	for sweep in $(SWEEPS); do \
+		PYTHONPATH=src $(PYTHON) -m repro.experiments.$$sweep --smoke benchmarks/results/$${sweep}_smoke.txt || exit 1; \
+	done
+	# The paging CLI's smoke grid is the paging benchmark's table, byte for byte.
+	PYTHONPATH=src $(PYTHON) -m repro.experiments.paging --smoke benchmarks/results/paging_policies_smoke.txt
 	git diff --exit-code tests/golden/ benchmarks/results/
 
 simlint:  ## determinism linter over the serving stack (CI simlint job)
