@@ -18,8 +18,9 @@ slow:  ## CI slow stage entry: benchmarks only (goldens, sweeps)
 	$(PYTEST) benchmarks -x -q
 
 SWEEPS := capacity sharding chaos prefix
+EXAMPLES := $(wildcard examples/*.py)
 
-identity:  ## outputs byte-identical to the checkout: regenerate goldens, figure tables and sweep smokes, diff
+identity:  ## outputs byte-identical to the checkout: regenerate goldens, figure tables, sweep smokes and example outputs, diff
 	$(PYTEST) tests/golden -q --update-golden
 	$(PYTEST) benchmarks -x -q
 	for sweep in $(SWEEPS); do \
@@ -27,7 +28,11 @@ identity:  ## outputs byte-identical to the checkout: regenerate goldens, figure
 	done
 	# The paging CLI's smoke grid is the paging benchmark's table, byte for byte.
 	PYTHONPATH=src $(PYTHON) -m repro.experiments.paging --smoke benchmarks/results/paging_policies_smoke.txt
-	git diff --exit-code tests/golden/ benchmarks/results/
+	# Every example runs to completion and prints what it printed before.
+	for example in $(EXAMPLES); do \
+		PYTHONPATH=src $(PYTHON) $$example > examples/output/$$(basename $$example .py).txt || exit 1; \
+	done
+	git diff --exit-code tests/golden/ benchmarks/results/ examples/output/
 
 simlint:  ## determinism linter over the serving stack (CI simlint job)
 	$(PYTHON) -m tools.simlint src tests

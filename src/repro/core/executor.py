@@ -51,6 +51,7 @@ from repro.models.gating import ExpertRouter
 from repro.models.layers import SOFTMAX_FLOPS_PER_SCORE, LayerMath
 from repro.models.ops import OpCategory, Operator
 from repro.parallel.collectives import CollectiveModel
+from repro.units import PJ
 
 
 @dataclass(frozen=True)
@@ -186,22 +187,25 @@ class DecodeRunPricing:
     """Vectorized pricing of a run of consecutive steady decode stages.
 
     Produced by :meth:`StageExecutor.price_decode_run`: stage ``k`` of the
-    run (1-based) prices the batch with every context grown by ``k``
-    tokens.  Each element of every array is bit-identical to what the
-    scalar per-stage path would compute for that stage, so committing a
-    (possibly truncated) prefix of the run is indistinguishable from
-    having stepped the stages one by one.
+    run (1-based) prices the requests still decoding at ``k``, each
+    context grown by ``k`` tokens.  Each element of every array is
+    bit-identical to what the scalar per-stage path would compute for
+    that stage, so committing a (possibly truncated) prefix of the run is
+    indistinguishable from having stepped the stages one by one.
 
     Attributes:
         latencies: per-stage latency, in stage order.
+        widths: per-stage decode width (int64, non-increasing): the
+            requests decoding at that stage — the stage's global token
+            count (the :meth:`~repro.models.gating.ExpertRouter.route`
+            argument) and its TBT weight.
         categories: energy categories in the scalar path's dict insertion
             order (FC, decode attention, then MoE when present).
-        dram / compute: per-category per-stage joule vectors, parallel to
-            ``categories``.
-        comm_energy_j: constant per-stage fabric energy (0.0 when the
-            scalar path would record none).
-        total_tokens: the stage's global decode token count (the
-            :meth:`~repro.models.gating.ExpertRouter.route` argument).
+        energy: ``(2 * len(categories), n_stages)`` joules: one DRAM row
+            per category, then one compute row per category, both in
+            ``categories`` order.
+        fabric: per-stage fabric joules, or None when no stage of the run
+            would record any.
         rng_state: gating-RNG snapshot taken *before* the batched routing
             draw, or None when no randomness was consumed (dense models,
             deterministic gating) — what a truncating commit rewinds to.
@@ -209,11 +213,10 @@ class DecodeRunPricing:
     """
 
     latencies: np.ndarray
+    widths: np.ndarray
     categories: tuple
-    dram: tuple
-    compute: tuple
-    comm_energy_j: float
-    total_tokens: int
+    energy: np.ndarray
+    fabric: np.ndarray | None
     rng_state: dict | None
     n_stages: int
 
@@ -261,12 +264,15 @@ class StageExecutor:
         self._comm_cache: dict[int, tuple[float, float]] = {}
         self._expected_counts_cache: dict[int, np.ndarray] = {}
         # Count-indexed expert price lookup tables for the decode-run fast
-        # path over counts 0..bound, grown by doubling when a run's
-        # routed-token bound (batch * top_k) exceeds them.  A LUT entry
-        # depends only on its own count, so indexing a larger table yields
-        # the same floats as building one per run.
+        # path over counts 0..bound (one stacked row per table), grown by
+        # doubling when a run's routed-token bound (batch * top_k) exceeds
+        # them.  A LUT entry depends only on its own count, so indexing a
+        # larger table yields the same floats as building one per run.
         self._run_lut_bound = -1
-        self._run_lut: tuple = ()
+        self._run_lut = np.empty((0, 0))
+        # Decode-attention roofline and energy coefficients of the units a
+        # run may pick, as (units, 1) columns; built by the first run.
+        self._attention_columns: tuple | None = None
         # Scalar per-token-count expert prices — the runtime lookup table of
         # Section V-B extended with energies.  Decode-stage routing repeats
         # the same small counts constantly, so small expert sets price from
@@ -368,122 +374,239 @@ class StageExecutor:
     # steady decode runs (the columnar fast path)
     # ------------------------------------------------------------------
     def price_decode_run(
-        self, context_lengths: np.ndarray, n_stages: int
+        self,
+        context_lengths: np.ndarray,
+        n_stages: int,
+        remaining: np.ndarray | None = None,
     ) -> DecodeRunPricing | None:
         """Price ``n_stages`` consecutive steady decode stages in one pass.
 
-        Stage ``k`` (1-based) prices the decoding-only composition with
-        contexts ``context_lengths + k`` — exactly the stages a scheduler
-        in steady decode would emit.  Every float is produced by the same
-        IEEE operation sequence as ``n_stages`` scalar
-        :meth:`run_stage` calls (constant FC/gate/collective charges are
-        replayed from the same caches; attention and MoE vectorize over
-        the stage axis elementwise), so a committed run is bit-identical
-        to having priced the stages one at a time — including the gating
-        RNG stream, batched via
-        :meth:`~repro.models.gating.ExpertRouter.route_batch`.
+        Stage ``k`` (1-based) prices the decoding-only composition of the
+        requests with ``remaining >= k`` (every request when ``remaining``
+        is None), at contexts ``context_lengths + k`` — exactly the stages
+        a scheduler in steady decode would emit while each request leaves
+        the batch at the boundary after its last stage.  At least one
+        request must decode through the whole run.
+
+        The run splits into segments between those completions.  Each
+        segment replays its FC, gate, shared-expert and collective charges
+        from the caches the scalar path fills, spread over its stages;
+        attention and MoE vectorize over the stage axis elementwise.  Every
+        float is produced by the same IEEE operation sequence as
+        ``n_stages`` scalar :meth:`run_stage` calls, so a committed run is
+        bit-identical to having priced the stages one at a time — including
+        the gating RNG stream, one routing row per stage at that stage's
+        width.
 
         Returns None for an empty batch or run.
         """
         if n_stages < 1:
             return None
-        model = self.model
         ctx = np.asarray(context_lengths, dtype=np.int64)
         batch = int(ctx.size)
         if batch == 0:
             return None
         n_run = int(n_stages)
-        local0 = ctx if self._n_nodes == 1 else ctx[:: self._n_nodes]
-        b_local = int(local0.size)
-        local_tokens = b_local
+        model = self.model
         n_layers = model.n_layers
-
-        fc_charge = self._fc_stage_charge(local_tokens, b_local)
+        n_nodes = self._n_nodes
+        moe_layers = model.n_moe_layers if model.is_moe else 0
+        # Segment j spans stages cuts[j] + 1 .. cuts[j + 1] over the
+        # requests with more than cuts[j] stages left.
+        cuts = [0]
+        if remaining is not None:
+            left = np.asarray(remaining)
+            cuts += np.unique(left[left < n_run]).tolist()
+        constants = []
+        for lo in cuts:
+            alive = ctx if lo == 0 else ctx[left > lo]
+            local = alive if n_nodes == 1 else alive[::n_nodes]
+            b_local = int(local.size)
+            if b_local == 0:
+                raise ConfigError("a decode run needs a request through its last stage")
+            fc = self._fc_stage_charge(b_local, b_local)
+            comm_total, comm_energy = self._communication_cost(b_local)
+            row = [
+                int(alive.size), b_local, int(np.add.reduce(local)),
+                fc[0], fc[1], fc[2], fc[3], fc[5], fc[6],
+                comm_total, comm_energy if comm_total > 0 else 0.0,
+            ]
+            if moe_layers:
+                # The MoE buckets open with the gate's charge, then the
+                # shared experts' (the scalar path's order).
+                gate = self._gate_charge(b_local)
+                shared = self._shared_expert_charge(b_local)
+                if shared is None:
+                    row += [gate[1], gate[2] * moe_layers, gate[3] * moe_layers]
+                else:
+                    row += [
+                        gate[1] + shared[1],
+                        gate[2] * moe_layers + shared[2] * moe_layers,
+                        gate[3] * moe_layers + shared[3] * moe_layers,
+                    ]
+            constants.append(row)
+        if len(constants) == 1:
+            # One segment: every charge stays a scalar operand.
+            per_stage = constants[0]
+            widths = np.full(n_run, batch)
+            has_fabric = bool(per_stage[10])
+        else:
+            lengths = np.diff([*cuts, n_run])
+            table = np.array(constants, dtype=np.float64).T
+            per_stage = list(np.repeat(table[3:], lengths, axis=1))
+            counts_table = np.repeat(np.array([row[:3] for row in constants]).T, lengths, axis=1)
+            widths = counts_table[0]
+            per_stage[:0] = (widths, counts_table[1], counts_table[2])
+            has_fabric = any(row[10] for row in constants)
+        (
+            _, b_local_s, total0,
+            qkv_s, dense_s, embed_s, head_s, fc_dram, fc_compute,
+            comm_s, fabric_j, *moe_constants,
+        ) = per_stage
 
         # ---- attention, vectorized over the stage axis ----------------
-        m = model
+        if len(constants) == 1:
+            # Stage k's total context: total0 + k * b_local (exact ints).
+            totals = np.arange(total0 + b_local_s, total0 + b_local_s * n_run + 1, b_local_s)
+            q_read = float(b_local_s)
+        else:
+            totals = total0 + np.arange(1, n_run + 1) * b_local_s
+            q_read = b_local_s.astype(np.float64)
+        fields, units = self._attention_coefficients()
+        # (QK^T and PV flops, softmax flops, KV bytes): each (coefficient *
+        # total) * kv_fraction, as the scalar path computes them.
         kvf = self._decode_kv_fraction
-        total0 = int(np.add.reduce(local0))
-        steps = np.arange(1, n_run + 1, dtype=np.int64)
-        totals = (total0 + steps * b_local).astype(np.float64)
-        qk_coeff = 4.0 * m.n_heads * m.d_head
-        sm_coeff = SOFTMAX_FLOPS_PER_SCORE * m.n_heads
-        flops_v = (qk_coeff * totals) * kvf + (sm_coeff * totals) * kvf
-        kv_read_v = (totals * m.kv_bytes_per_token_per_layer) * kvf
-        q_read = float(b_local) * m.n_heads * m.d_head * m.dtype_bytes * kvf
-        br_v = kv_read_v + q_read
-        bw_v = np.full(n_run, q_read)
-        system = self.system
-        if system.kind is SystemKind.GPU or self._pim is None:
-            assert self._xpu is not None
-            attn_units: tuple[ProcessingUnit, ...] = (self._xpu,)
-        elif system.kind is SystemKind.HETERO or self._xpu is None:
-            attn_units = (self._pim,)
+        per_token = (totals * fields) * kvf
+        flops = per_token[0] + per_token[1]
+        q_read = q_read * model.n_heads * model.d_head * model.dtype_bytes * kvf
+        reads = per_token[2] + q_read
+        eff, bandwidth, launch, read_pj, write_pj, flop_pj = units
+        # (time, dram J, compute J) on every candidate unit at once.
+        priced = np.empty((3, eff.shape[0], n_run))
+        np.maximum(flops / eff, (reads + q_read) / bandwidth, out=priced[0])
+        priced[0] += launch
+        np.multiply(reads * 8.0, read_pj, out=priced[1])
+        priced[1] += q_read * 8.0 * write_pj
+        priced[1] *= PJ
+        np.multiply(flops, flop_pj, out=priced[2])
+        priced[2] *= PJ
+        if eff.shape[0] == 1:
+            attention = priced[:, 0]
         else:
-            attn_units = (self._xpu, self._pim)
-        if len(attn_units) == 1:
-            unit = attn_units[0]
-            attn_time_v = unit.op_times(flops_v, br_v, bw_v, validate=False)
-            attn_dram_v = unit.dram_energies(br_v, bw_v)
-            attn_comp_v = unit.compute_energies(flops_v)
-        else:
-            xpu, pim = attn_units
-            t_x = xpu.op_times(flops_v, br_v, bw_v, validate=False)
-            t_p = pim.op_times(flops_v, br_v, bw_v, validate=False)
-            on_xpu = t_x <= t_p
-            attn_time_v = np.where(on_xpu, t_x, t_p)
-            attn_dram_v = np.where(
-                on_xpu, xpu.dram_energies(br_v, bw_v), pim.dram_energies(br_v, bw_v)
-            )
-            attn_comp_v = np.where(
-                on_xpu, xpu.compute_energies(flops_v), pim.compute_energies(flops_v)
-            )
-        replicas = self._attention_replica_count
-        attn_dram_stage = (attn_dram_v * replicas) * n_layers
-        attn_comp_stage = (attn_comp_v * replicas) * n_layers
+            # Each stage on the unit that finishes it sooner (xPU on ties).
+            attention = np.where(priced[0, 0] <= priced[0, 1], priced[:, 0], priced[:, 1])
 
-        latency_v = fc_charge[0] + attn_time_v * n_layers
+        categories: tuple[OpCategory, ...] = (OpCategory.FC, OpCategory.ATTENTION_DECODE)
+        if moe_layers:
+            categories += (OpCategory.MOE,)
+        n_categories = len(categories)
+        energy = np.empty((2 * n_categories, n_run))
+        energy[0] = fc_dram
+        energy[n_categories] = fc_compute
+        attention_energy = energy[1::n_categories]
+        np.multiply(attention[1:], self._attention_replica_count, out=attention_energy)
+        attention_energy *= n_layers
+
+        latency = qkv_s + attention[0] * n_layers
 
         # ---- MoE, vectorized over the stage axis ----------------------
         rng_state: dict | None = None
-        moe_priced = False
-        moe_dram_v = moe_comp_v = None
-        if model.is_moe and model.n_moe_layers > 0:
-            moe_priced = True
-            assert self._router is not None
+        if moe_layers:
+            router = self._router
+            assert router is not None
             if self.deterministic_gating:
-                counts_mat = np.tile(self._expected_counts(batch), (n_run, 1))
+                expected = np.array([self._expected_counts(row[0]) for row in constants])
+                counts_mat = (
+                    np.tile(expected, (n_run, 1))
+                    if len(constants) == 1
+                    else np.repeat(expected, lengths, axis=0)
+                )
             else:
-                rng_state = self._router.state_snapshot()
-                counts_mat = self._router.route_batch(batch, n_run)
-            moe_time_v, moe_dram_v, moe_comp_v = self._price_moe_run(
-                counts_mat, local_tokens, n_run, batch * self._router.top_k
+                rng_state = router.state_snapshot()
+                counts_mat = self._route_run(widths)
+            gate_shared_s, seed_dram, seed_compute = moe_constants
+            moe_time, moe_energy = self._price_moe_run(
+                counts_mat, batch * router.top_k, gate_shared_s, seed_dram, seed_compute
             )
-            latency_v = latency_v + moe_time_v
-        latency_v = latency_v + fc_charge[1]
+            latency += moe_time
+            energy[2::n_categories] = moe_energy
+        latency += dense_s
+        latency += comm_s
+        latency += embed_s
+        latency += head_s
 
-        comm_total, comm_energy = self._communication_cost(local_tokens)
-        latency_v = latency_v + comm_total
-        latency_v = latency_v + fc_charge[2]
-        latency_v = latency_v + fc_charge[3]
-
-        categories: list[OpCategory] = [OpCategory.FC, OpCategory.ATTENTION_DECODE]
-        dram = [np.full(n_run, fc_charge[5]), attn_dram_stage]
-        compute = [np.full(n_run, fc_charge[6]), attn_comp_stage]
-        if moe_priced:
-            categories.append(OpCategory.MOE)
-            dram.append(moe_dram_v)
-            compute.append(moe_comp_v)
+        fabric = None
+        if has_fabric:
+            fabric = np.full(n_run, fabric_j) if len(constants) == 1 else fabric_j
         return DecodeRunPricing(
-            latencies=latency_v,
-            categories=tuple(categories),
-            dram=tuple(dram),
-            compute=tuple(compute),
-            comm_energy_j=comm_energy if comm_total > 0 else 0.0,
-            total_tokens=batch,
+            latencies=latency,
+            widths=widths,
+            categories=categories,
+            energy=energy,
+            fabric=fabric,
             rng_state=rng_state,
             n_stages=n_run,
         )
+
+    def _attention_coefficients(self) -> tuple:
+        """Decode-attention coefficient columns, built on first use.
+
+        ``(fields, units)``: ``fields`` is the (3, 1) column of per-token
+        QK^T-and-PV flops, softmax flops and KV bytes per layer; ``units``
+        holds (effective FLOP/s, bandwidth, launch s, read pJ/bit, write
+        pJ/bit, pJ/FLOP) of the units decode attention may run on, each a
+        ``(units, 1)`` column: the xPU, Logic-PIM or both, in the order of
+        :meth:`_decode_attention_unit`'s tie rule.
+        """
+        if self._attention_columns is None:
+            m, system = self.model, self.system
+            if system.kind is SystemKind.GPU or self._pim is None:
+                assert self._xpu is not None
+                candidates: tuple[ProcessingUnit, ...] = (self._xpu,)
+            elif system.kind is SystemKind.HETERO or self._xpu is None:
+                candidates = (self._pim,)
+            else:
+                candidates = (self._xpu, self._pim)
+            fields = np.array(
+                [
+                    [4.0 * m.n_heads * m.d_head],
+                    [SOFTMAX_FLOPS_PER_SCORE * m.n_heads],
+                    [m.kv_bytes_per_token_per_layer],
+                ],
+                dtype=np.float64,
+            )
+            units = tuple(
+                np.array([[value] for value in values])
+                for values in zip(
+                    *(
+                        (
+                            unit.effective_flops,
+                            unit.mem_bandwidth,
+                            unit.launch_overhead_s,
+                            unit.read_energy_pj_per_bit,
+                            unit.write_energy_pj_per_bit,
+                            unit.flop_energy_pj,
+                        )
+                        for unit in candidates
+                    ),
+                    strict=True,
+                )
+            )
+            self._attention_columns = (fields, units)
+        return self._attention_columns
+
+    def _route_run(self, widths: np.ndarray) -> np.ndarray:
+        """One routing row per stage of a run at that stage's width.
+
+        Widths never grow along a run, so equal endpoints mean one width
+        throughout: the faster fixed-count draw.  Either draw consumes the
+        random stream as sequential per-stage routes would.
+        """
+        router = self._router
+        assert router is not None
+        if widths[0] == widths[-1]:
+            return router.route_batch(int(widths[0]), int(widths.size))
+        return router.route_stages(widths)
 
     def rewind_decode_run(self, pricing: DecodeRunPricing, n_committed: int) -> None:
         """Reposition the gating RNG after a truncated run commit.
@@ -491,40 +614,40 @@ class StageExecutor:
         A run priced for ``pricing.n_stages`` stages but committed for
         only ``n_committed`` must leave the random stream exactly where
         ``n_committed`` scalar stages would have: restore the
-        pre-batch-draw snapshot and redraw the committed prefix (batched
-        multinomial rows are drawn in stream order, so the prefix rows —
-        already consumed by the commit — reproduce bit-for-bit).
+        pre-batch-draw snapshot and redraw the committed prefix at the
+        same per-stage widths (batched multinomial rows are drawn in
+        stream order, so the prefix rows — already consumed by the commit
+        — reproduce bit-for-bit).
         """
         if pricing.rng_state is None or n_committed >= pricing.n_stages:
             return
         assert self._router is not None
         self._router.state_restore(pricing.rng_state)
         if n_committed > 0:
-            self._router.route_batch(pricing.total_tokens, n_committed)
+            self._route_run(pricing.widths[:n_committed])
 
-    def replay_decode_run(self, pricing: DecodeRunPricing, n_stages: int) -> None:
-        """Advance the gating RNG over ``n_stages`` more stages of a run.
+    def replay_decode_run(self, pricing: DecodeRunPricing, start: int, end: int) -> None:
+        """Advance the gating RNG over stages ``start + 1 .. end`` of a run.
 
         The continuation of a run whose first commit was rewound to its
         committed prefix (:meth:`rewind_decode_run`): the stream sits
-        there, and drawing the next ``n_stages`` rows again (batched rows
-        come out in stream order) leaves it where that many more scalar
-        stages would.
+        there, and drawing those stages' rows again (batched rows come out
+        in stream order) leaves it where that many more scalar stages
+        would.
         """
-        if pricing.rng_state is None:
+        if pricing.rng_state is None or end <= start:
             return
-        assert self._router is not None
-        self._router.route_batch(pricing.total_tokens, n_stages)
+        self._route_run(pricing.widths[start:end])
 
-    def _run_luts(self, max_count: int) -> tuple:
+    def _run_luts(self, max_count: int) -> np.ndarray:
         """Count-indexed expert price LUTs covering ``0..max_count``.
 
-        GPU/HETERO executors get ``(time, dram, compute)``; Duplex-style
-        two-unit executors get ``(tx, tp, dx, dp, cx, cp)``.  One table
-        per executor, rebuilt at double its bound (at least
-        ``max_count``) when a run outgrows it.  Each LUT entry is a pure
-        function of its own count, so the grown table indexes to the same
-        floats a table bounded by this run's maximum count would.
+        One stacked row per table: GPU/HETERO executors get ``(time, dram,
+        compute)``; Duplex-style two-unit executors get ``(tx, tp, dx, dp,
+        cx, cp)``.  One stack per executor, rebuilt at double its bound
+        (at least ``max_count``) when a run outgrows it.  Each LUT entry is
+        a pure function of its own count, so the grown table indexes to
+        the same floats a table bounded by this run's maximum count would.
         """
         if max_count <= self._run_lut_bound:
             return self._run_lut
@@ -535,7 +658,6 @@ class StageExecutor:
             lut_counts, self._expert_fraction, validate=False, idle=idle
         )
         system = self.system
-        luts: tuple
         if system.kind is SystemKind.GPU or system.kind is SystemKind.HETERO:
             unit = self._xpu if system.kind is SystemKind.GPU else self._pim
             assert unit is not None
@@ -555,85 +677,81 @@ class StageExecutor:
                 self._pim.compute_energies(fl),
             )
         self._run_lut_bound = bound
-        self._run_lut = luts
-        return luts
+        self._run_lut = np.stack(luts)
+        return self._run_lut
 
     def _price_moe_run(
-        self, counts_mat: np.ndarray, local_tokens: int, n_run: int, max_count: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-stage MoE (latency, dram J, compute J) for a decode run.
+        self,
+        counts_mat: np.ndarray,
+        max_count: int,
+        gate_shared_s,
+        seed_dram,
+        seed_compute,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-stage MoE latency and ``(2, stages)`` (dram, compute) joules.
 
         ``counts_mat`` holds one routed-count row per stage.  It is
         transposed once into a stage-minor layout — one row per expert (or
         space group), one column per stage — so every per-expert step is a
-        contiguous vector op and every in-order sum runs down axis 0.
-        Per-expert prices come from a lookup table over every possible
-        count (counts are bounded by ``max_count = batch * top_k``) — the
-        exact floats the per-stage array path derives, in the same
-        accumulation order (segment by segment, xPU charges before
-        Logic-PIM, expert energies folded in order after the gate's and
-        the shared experts' contributions).
+        contiguous vector op and every in-order sum runs down the expert
+        axis.  Per-expert prices come from a lookup table over every
+        possible count (counts are bounded by ``max_count = batch *
+        top_k``), gathered once per device segment — the exact floats the
+        per-stage array path derives, in the same accumulation order
+        (segment by segment, xPU charges before Logic-PIM).  The gate's and
+        the shared experts' time (``gate_shared_s``) and energies (the
+        seeds) are per-stage scalars or vectors; the seeds open each
+        energy fold, as they open the scalar path's MoE buckets.
         """
-        model, system = self.model, self.system
-        layers = model.n_moe_layers
-        charge = self._gate_charge(local_tokens)
-        gate_time = charge[1]
-        shared = self._shared_expert_charge(local_tokens) if local_tokens > 0 else None
-
+        layers = self.model.n_moe_layers
+        system = self.system
         counts = np.ascontiguousarray(counts_mat.T)
         luts = self._run_luts(max_count)
-        worst_v = np.zeros(n_run)
-        # Energy rows in the scalar path's order: gate, shared experts,
-        # then the routed-expert blocks.
-        dram_rows = [np.full((1, n_run), charge[2] * layers)]
-        comp_rows = [np.full((1, n_run), charge[3] * layers)]
-        shared_time = 0.0
-        if shared is not None:
-            shared_time = shared[1]
-            dram_rows.append(np.full((1, n_run), shared[2] * layers))
-            comp_rows.append(np.full((1, n_run), shared[3] * layers))
-
+        segments = self._expert_segments
+        blocks = []
+        worst = None
         if system.kind is SystemKind.GPU or system.kind is SystemKind.HETERO:
-            t_lut, d_lut, c_lut = luts
-            times = t_lut[counts]
-            for start, stop, _ in self._expert_segments:
-                worst_v = np.maximum(worst_v, times[start:stop].cumsum(axis=0)[-1])
-            charged_layers = layers * self._expert_segments[0][2]
-            dram_rows.append(d_lut[counts] * charged_layers)
-            comp_rows.append(c_lut[counts] * charged_layers)
+            prices = luts[:, counts]
+            times = prices[0]
+            for start, stop, _ in segments:
+                total = times[start:stop].cumsum(axis=0)[-1]
+                worst = total if worst is None else np.maximum(worst, total)
+            blocks.append(prices[1:] * (layers * segments[0][2]))
         else:
-            tx_lut, tp_lut, dx_lut, dp_lut, cx_lut, cp_lut = luts
             coprocess = system.expert_coprocessing and system.device.supports_coprocessing
-            for start, stop, multiplicity in self._expert_segments:
+            for start, stop, multiplicity in segments:
                 seg = counts[start:stop]
+                prices = luts[:, seg]
                 seg_layers = layers * multiplicity
-                xt = tx_lut[seg]
-                pt = tp_lut[seg]
                 if not coprocess:
-                    x_tot = xt.cumsum(axis=0)[-1]
-                    p_tot = pt.cumsum(axis=0)[-1]
+                    x_tot = prices[0].cumsum(axis=0)[-1]
+                    p_tot = prices[1].cumsum(axis=0)[-1]
                     on_xpu = x_tot <= p_tot
-                    dram_rows.append(np.where(on_xpu, dx_lut[seg], dp_lut[seg]) * seg_layers)
-                    comp_rows.append(np.where(on_xpu, cx_lut[seg], cp_lut[seg]) * seg_layers)
-                    worst_v = np.maximum(worst_v, np.where(on_xpu, x_tot, p_tot))
-                    continue
-                seg_time, on_pim = self._coprocess_run(seg, xt, pt)
-                dram_rows.append(np.where(on_pim, 0.0, dx_lut[seg] * seg_layers))
-                dram_rows.append(np.where(on_pim, dp_lut[seg] * seg_layers, 0.0))
-                comp_rows.append(np.where(on_pim, 0.0, cx_lut[seg] * seg_layers))
-                comp_rows.append(np.where(on_pim, cp_lut[seg] * seg_layers, 0.0))
-                worst_v = np.maximum(worst_v, seg_time)
-
-        moe_dram_v = np.concatenate(dram_rows).cumsum(axis=0)[-1]
-        moe_comp_v = np.concatenate(comp_rows).cumsum(axis=0)[-1]
-        moe_time_v = (gate_time + shared_time + worst_v) * layers
-        return moe_time_v, moe_dram_v, moe_comp_v
+                    blocks.append(np.where(on_xpu, prices[2::2], prices[3::2]) * seg_layers)
+                    seg_time = np.where(on_xpu, x_tot, p_tot)
+                else:
+                    seg_time, on_pim = self._coprocess_run(seg, prices[:2])
+                    # (dx, dp, cx, cp) with each expert's energy kept on its
+                    # unit only; as (2, 2 * experts) rows: the xPU experts'
+                    # then the Logic-PIM experts' joules, dram then compute.
+                    charged = prices[2:] * seg_layers
+                    charged[0::2] *= ~on_pim
+                    charged[1::2] *= on_pim
+                    blocks.append(charged.reshape(2, -1, charged.shape[-1]))
+                worst = seg_time if worst is None else np.maximum(worst, seg_time)
+        energy = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+        # Seeding the first row is exact: IEEE addition commutes.
+        energy[0, 0] += seed_dram
+        energy[1, 0] += seed_compute
+        moe_energy = energy.cumsum(axis=1)[:, -1]
+        return (gate_shared_s + worst) * layers, moe_energy
 
     def _coprocess_run(
-        self, seg: np.ndarray, xt: np.ndarray, pt: np.ndarray
+        self, seg: np.ndarray, times: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """The paper's greedy (:func:`~repro.core.coprocessing.assign_from_times`)
-        on one device's stage-minor counts and unit times.
+        on one device's stage-minor counts and ``(2, experts, stages)``
+        xPU and Logic-PIM unit times.
 
         Moves the lightest groups to Logic-PIM while the makespan improves,
         for every stage column at once.  Returns the per-stage makespan
@@ -642,27 +760,31 @@ class StageExecutor:
         plan = self._assign_plan
         assert plan is not None
         if plan.singletons:
-            g_tokens, g_x, g_p = seg, xt, pt
+            g_tokens, g_times = seg, times
         else:
             # Group sums in member order: each group's first member (copied,
             # as a slice selects a view), then one later position at a time.
             (_, first), *later = plan.member_rows
             g_tokens = seg[first].copy()
-            g_x = xt[first].copy()
-            g_p = pt[first].copy()
+            g_times = times[:, first].copy()
             for groups, members in later:
                 g_tokens[groups] += seg[members]
-                g_x[groups] += xt[members]
-                g_p[groups] += pt[members]
-        n_groups, n_run = g_x.shape
+                g_times[:, groups] += times[:, members]
+        n_groups, n_run = g_tokens.shape
         cols = np.arange(n_run)
         order = np.argsort(g_tokens, axis=0, kind="stable")
-        # Prefix k of each column's order == "k lightest groups moved"; the
-        # seeded cumulative sums reproduce the iterative running totals.
-        all_x = g_x.cumsum(axis=0)[-1:]
-        running_x = np.concatenate((all_x, -g_x[order, cols])).cumsum(axis=0)
-        running_p = np.concatenate((np.zeros((1, n_run)), g_p[order, cols])).cumsum(axis=0)
-        makespans = np.maximum(running_x, running_p)
+        # Prefix k of each column's order == "k lightest groups moved": the
+        # xPU starts with every group and sheds them, Logic-PIM gains them,
+        # and the seeded cumulative sums reproduce the iterative running
+        # totals.
+        running = np.empty((2, n_groups + 1, n_run))
+        running[0, 0] = g_times[0].cumsum(axis=0)[-1]
+        running[1, 0] = 0.0
+        moved = g_times[:, order, cols]
+        np.negative(moved[0], out=running[0, 1:])
+        running[1, 1:] = moved[1]
+        running = running.cumsum(axis=1)
+        makespans = np.maximum(running[0], running[1])
         best_k = makespans.argmin(axis=0)  # first minimum == strict improvement
         ranks = np.empty_like(order)
         ranks[order, cols] = np.arange(n_groups)[:, None]

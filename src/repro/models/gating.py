@@ -89,6 +89,22 @@ class ExpertRouter:
         )
         return counts.astype(np.int64, copy=False)
 
+    def route_stages(self, stage_tokens: np.ndarray) -> np.ndarray:
+        """Sample one routing per stage, each at its own (positive) token
+        count, in one draw.
+
+        Row ``k`` is bit-identical to a sequential :meth:`route` call at
+        ``stage_tokens[k]`` (numpy's array-``n`` multinomial draws rows in
+        stream order) — a decode run whose batch shrinks at in-batch
+        completions draws every stage at once.  :meth:`route_batch` is the
+        faster draw when every stage has the same count.
+
+        Returns:
+            int64 array of shape ``(len(stage_tokens), n_experts)``.
+        """
+        counts = self._rng.multinomial(stage_tokens * self.top_k, self._probabilities)
+        return counts.astype(np.int64, copy=False)
+
     def state_snapshot(self) -> dict:
         """Snapshot of the RNG stream position (for batched-draw rewind)."""
         return self._rng.bit_generator.state

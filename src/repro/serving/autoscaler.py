@@ -359,17 +359,10 @@ class ScheduledScalingPolicy:
         lead_time_s: float = 0.0,
         headroom: float = 1.0,
     ) -> "ScheduledScalingPolicy":
-        """Build the envelope from an arrival process.
-
-        Uses the process's instantaneous ``rate_at`` when it has one
-        (e.g. :class:`~repro.serving.scenarios.DiurnalArrivals`), falling
-        back to the constant ``mean_qps`` otherwise.
-        """
-        rate_at = getattr(arrivals, "rate_at", None)
-        if callable(rate_at):
-            return cls(rate_at, qps_per_replica, lead_time_s, headroom)
-        mean = arrivals.mean_qps
-        return cls(lambda t: mean, qps_per_replica, lead_time_s, headroom)
+        """Build the envelope from an arrival process's ``rate_at``: the
+        sinusoid of :class:`~repro.serving.scenarios.DiurnalArrivals`, the
+        constant ``mean_qps`` of processes without a known envelope."""
+        return cls(arrivals.rate_at, qps_per_replica, lead_time_s, headroom)
 
     def target_replicas(self, view: FleetView) -> int:
         rate = self.rate_qps(view.now_s + self.lead_time_s)

@@ -39,12 +39,7 @@ import numpy as np
 
 from repro.core.executor import DecodeRunPricing, StageExecutor, StageResult, StageWorkload
 from repro.errors import ConfigError, SchedulingError
-from repro.serving.metrics import (
-    _COMPUTE_KEYS,
-    _DRAM_KEYS,
-    MetricsCollector,
-    ServingReport,
-)
+from repro.serving.metrics import MetricsCollector, ServingReport
 from repro.serving.paging import EvictionOutcome, EvictionPolicy, PagedKvManager
 from repro.serving.request import Request, RequestState
 from repro.serving.scheduler import ContinuousBatchingScheduler
@@ -707,6 +702,7 @@ class ServingEngine:
         limits: SimulationLimits,
         horizon_s: float = float("inf"),
         sim_time_s: float | None = None,
+        pass_completions: bool = True,
     ) -> int:
         """Collapse a provably steady decode run into one vectorized commit.
 
@@ -718,7 +714,17 @@ class ServingEngine:
         clock trajectory, the metrics accumulators, and the gating RNG
         stream all land bit-identical to stepping the same stages
         scalar-wise: the caps below guarantee a run never straddles the
-        warm-up gate, the stage budget, or the first in-batch completion.
+        warm-up gate or the stage budget.
+
+        A run ends at the batch's first in-batch completion unless no
+        completion can admit anything
+        (:meth:`~repro.serving.scheduler.ContinuousBatchingScheduler.completions_admit_nothing`),
+        no ``target_completions`` stop rule counts them, and the driver
+        allows it (``pass_completions``: the split pipeline's admission
+        room can open at a decode completion).  Then finished requests
+        leave at the boundary after their last stage, and the run extends
+        toward the batch's last completion, by as many stages as fit
+        before the next bound (the threshold or ``horizon_s``).
 
         A run is sized by the engine's own threshold (the next arrival,
         paging landing or straggler-window edge) and commits the stages
@@ -767,21 +773,39 @@ class ServingEngine:
         if held is not None and held[1][held[2]] == now:
             pricing, boundaries, start = held
         else:
-            cap = min(scheduler.steady_min_remaining(), _RUN_CAP)
+            remaining = scheduler.steady_remaining()
+            first = min(remaining)
+            cap = first
+            last_latency = self._last_decode_latency_s
+            if pass_completions and limits.target_completions is None:
+                last = max(remaining)
+                if last > first and scheduler.completions_admit_nothing():
+                    if stop == float("inf"):
+                        cap = last
+                    elif last_latency > 0.0:
+                        # Sized by the next bound: a tail held past a
+                        # routing horizon is lost when routing changes
+                        # the batch.
+                        cap = max(first, min(last, int((stop - now) / last_latency) + 2))
+            cap = min(cap, _RUN_CAP)
             if stages < warmup:
                 cap = min(cap, warmup - stages)  # runs never straddle warm-up
             cap = min(
                 cap, limits.max_stages - self.measured, warmup + limits.max_stages - stages
             )
-            if threshold != float("inf") and self._last_decode_latency_s > 0.0:
+            if threshold != float("inf") and last_latency > 0.0:
                 # Cheap pre-truncation so a near-threshold attempt does not
                 # price stages that cannot fit (any cap is exact — this only
                 # sizes the batch, the searchsorted below decides
-                # membership).  The horizon does not size it: stages past
-                # the horizon are held, not thrown away.
-                estimate = int((threshold - now) / self._last_decode_latency_s) + 2
-                cap = min(cap, estimate)
-            pricing = self.executor.price_decode_run(scheduler.steady_context_base(), cap)
+                # membership).  The horizon does not size a run that ends at
+                # its first completion: stages past the horizon are held,
+                # not thrown away.
+                cap = min(cap, int((threshold - now) / last_latency) + 2)
+            pricing = self.executor.price_decode_run(
+                scheduler.steady_context_base(),
+                cap,
+                np.array(remaining) if cap > first else None,
+            )
             if pricing is None:
                 return 0
             # boundaries[k] is the clock after stage k; the seeded
@@ -801,36 +825,27 @@ class ServingEngine:
             ends = boundaries[start + 1 :]
             end = min(end, start + 1 + int(np.searchsorted(ends, sim_time_s, side="left")))
         if start:
-            self.executor.replay_decode_run(pricing, end - start)
+            self.executor.replay_decode_run(pricing, start, end)
         elif end < pricing.n_stages:
             self.executor.rewind_decode_run(pricing, end)
         self._held_run = (pricing, boundaries, end) if end < pricing.n_stages else None
         n = end - start
-        final_now = float(boundaries[end])
-        decode_tokens = len(scheduler.running)
         # A full batch may have queued arrivals meanwhile: leave them where
         # the per-stage admissions would, as of the last stage's start.
         scheduler.queue_arrivals(float(boundaries[end - 1]))
-        finished = scheduler.commit_steady_run(n, final_now)
+        finished = scheduler.commit_steady_run(n, boundaries[start : end + 1])
         self.stages += n
         self._last_decode_latency_s = float(pricing.latencies[end - 1])
         # No straddling: the whole run is measured, or none of it is.
         in_window = stages >= warmup
         if in_window:
             self.measured += n
-            components = [
-                (_DRAM_KEYS[category], joules[start:end])
-                for category, joules in zip(pricing.categories, pricing.dram, strict=True)
-            ]
-            components += [
-                (_COMPUTE_KEYS[category], joules[start:end])
-                for category, joules in zip(pricing.categories, pricing.compute, strict=True)
-            ]
             self.metrics.record_decode_run(
-                latencies=pricing.latencies[start:end],
-                decode_tokens=decode_tokens,
-                energy_components=components,
-                comm_energy_per_stage_j=pricing.comm_energy_j,
+                pricing.latencies[start:end],
+                pricing.widths[start:end],
+                pricing.categories,
+                pricing.energy[:, start:end],
+                None if pricing.fabric is None else pricing.fabric[start:end],
             )
         for request in finished:
             self.finished_ids.append(request.request_id)

@@ -240,29 +240,32 @@ class MetricsCollector:
     def record_decode_run(
         self,
         latencies: np.ndarray,
-        decode_tokens: int,
-        energy_components: Sequence[tuple[str, np.ndarray]],
-        comm_energy_per_stage_j: float,
+        widths: np.ndarray,
+        categories: Sequence[OpCategory],
+        energy: np.ndarray,
+        fabric: np.ndarray | None,
     ) -> None:
         """Record a run of consecutive decode-only stages in one call.
 
         The batched twin of per-stage :meth:`record_stage` for the
         columnar fast path: every accumulator lands on the exact floats
-        ``n`` sequential ``record_stage`` calls would produce (seeded
-        cumulative sums reproduce left-to-right addition order bit for
-        bit; the TBT columns receive the same samples in the same order).
+        ``n`` sequential ``record_stage`` calls would produce, and the TBT
+        columns receive the same samples in the same order.  Elapsed time,
+        busy time, every energy component and the fabric energy fold in
+        one seeded cumulative sum along the stage axis of a (components x
+        stages + 1) table, which reproduces left-to-right addition order
+        bit for bit; new component keys are inserted in the order
+        sequential stages would insert them.
 
         Args:
             latencies: per-stage latencies of the run, in stage order.
-            decode_tokens: decode tokens per stage (the batch width; in a
-                steady decode run it is also the total generated per
-                stage).
-            energy_components: ordered ``(component key, per-stage
-                joules vector)`` pairs, in the key order sequential
-                stages would first insert them.
-            comm_energy_per_stage_j: constant per-stage fabric energy
-                (0.0 records nothing, matching the scalar truthiness
-                gate).
+            widths: per-stage decode widths (positive): each stage's TBT
+                weight and, in a decode-only stage, its generated tokens.
+            categories: the energy categories of ``energy``'s rows.
+            energy: ``(2 * len(categories), n)`` joules, one DRAM row per
+                category, then one compute row per category.
+            fabric: per-stage fabric joules, or None to record none
+                (matching the scalar truthiness gate).
         """
         n = int(latencies.size)
         if n == 0:
@@ -270,25 +273,25 @@ class MetricsCollector:
         if float(latencies.min()) <= 0:
             raise SimulationError("stage latency must be positive")
         self._stages_total += n
-        self._tokens += decode_tokens * n
-        self._elapsed_s = float(
-            np.concatenate(([self._elapsed_s], latencies)).cumsum()[-1]
-        )
-        self._busy_s = float(np.concatenate(([self._busy_s], latencies)).cumsum()[-1])
-        if decode_tokens > 0:
-            start = self._reserve_tbt(n)
-            self._tbt_values[start : start + n] = latencies
-            self._tbt_weights[start : start + n] = decode_tokens
+        self._tokens += int(np.add.reduce(widths))
+        start = self._reserve_tbt(n)
+        self._tbt_values[start : start + n] = latencies
+        self._tbt_weights[start : start + n] = widths
         components = self._energy_by_component
-        for key, joules in energy_components:
-            components[key] = float(
-                np.concatenate(([components.get(key, 0.0)], joules)).cumsum()[-1]
-            )
-        if comm_energy_per_stage_j:
-            fabric = np.full(n, comm_energy_per_stage_j)
-            components["fabric"] = float(
-                np.concatenate(([components.get("fabric", 0.0)], fabric)).cumsum()[-1]
-            )
+        keys = [_DRAM_KEYS[category] for category in categories]
+        keys += [_COMPUTE_KEYS[category] for category in categories]
+        if fabric is not None:
+            keys.append("fabric")
+        table = np.empty((2 + len(keys), n + 1))
+        table[:, 0] = [self._elapsed_s, self._busy_s, *(components.get(key, 0.0) for key in keys)]
+        table[:2, 1:] = latencies
+        table[2 : 2 + len(energy), 1:] = energy
+        if fabric is not None:
+            table[-1, 1:] = fabric
+        totals = table.cumsum(axis=1)[:, -1].tolist()
+        self._elapsed_s, self._busy_s = totals[0], totals[1]
+        for key, total in zip(keys, totals[2:], strict=True):
+            components[key] = total
 
     def _add_energy(
         self,

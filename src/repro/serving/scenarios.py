@@ -50,13 +50,17 @@ class ArrivalProcess(Protocol):
 
     ``stream`` yields non-decreasing absolute arrival times (seconds);
     ``mean_qps`` is the long-run average rate (used to rescale a scenario
-    to a target load); ``scaled`` multiplies the offered load.
+    to a target load); ``rate_at`` is the rate envelope a scheduled scaler
+    plans against (``mean_qps`` for processes without a known envelope);
+    ``scaled`` multiplies the offered load.
     """
 
     def stream(self, rng: np.random.Generator) -> Iterator[float]: ...
 
     @property
     def mean_qps(self) -> float: ...
+
+    def rate_at(self, t: float) -> float: ...
 
     def scaled(self, factor: float) -> "ArrivalProcess": ...
 
@@ -78,6 +82,9 @@ class PoissonArrivals:
     @property
     def mean_qps(self) -> float:
         return self.qps
+
+    def rate_at(self, t: float) -> float:
+        return self.mean_qps
 
     def scaled(self, factor: float) -> "PoissonArrivals":
         _require_positive("scale factor", factor)
@@ -116,6 +123,10 @@ class BurstyArrivals:
     def mean_qps(self) -> float:
         weight = self.mean_calm_s + self.mean_burst_s
         return (self.base_qps * self.mean_calm_s + self.burst_qps * self.mean_burst_s) / weight
+
+    def rate_at(self, t: float) -> float:
+        """The long-run mean: bursts come at random, not on a schedule."""
+        return self.mean_qps
 
     def scaled(self, factor: float) -> "BurstyArrivals":
         _require_positive("scale factor", factor)
@@ -226,6 +237,9 @@ class ReplayedArrivals:
     @property
     def mean_qps(self) -> float:
         return len(self.times_s) / self.span_s
+
+    def rate_at(self, t: float) -> float:
+        return self.mean_qps
 
     def scaled(self, factor: float) -> "ReplayedArrivals":
         # Pin the period explicitly so the rate scales exactly even where

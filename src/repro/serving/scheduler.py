@@ -595,14 +595,15 @@ class ContinuousBatchingScheduler:
         otherwise every stage whose *start* time is strictly before the
         threshold is safe to collapse into a vectorized run.
 
-        The run membership is frozen, so mid-run blockages are
+        Nothing joins the batch mid-run, so mid-run blockages are
         time-invariant: a full batch stays full and an over-capacity
-        parked head stays parked until the first completion — and runs
-        are capped at :meth:`steady_min_remaining` so completions only
-        ever land on a run's final stage.  Admission, parked-head resumes and
-        preemption all need a free slot, so a full batch may run while
-        requests queue, as long as the policy's ``shed`` and
-        ``order_waiting`` ignore the clock
+        parked head stays parked until the first completion.  A run ends
+        at its first in-batch completion unless
+        :meth:`completions_admit_nothing` holds; past it, requests simply
+        leave the batch.  Admission, parked-head resumes and preemption
+        all need a free slot, so a full batch may run while requests
+        queue, as long as the policy's ``shed`` and ``order_waiting``
+        ignore the clock
         (:attr:`~repro.serving.policy.SchedulingPolicy.queue_ignores_clock`);
         arrivals then do not bound the run, and the engine queues them
         with :meth:`queue_arrivals` before committing it.  Otherwise
@@ -638,58 +639,89 @@ class ContinuousBatchingScheduler:
             threshold = min(threshold, self.source.peek_arrival())
         return threshold
 
+    def completions_admit_nothing(self) -> bool:
+        """Whether a steady run may pass in-batch completions: no
+        completion before :meth:`steady_run_threshold` can admit anything.
+
+        That holds when the next arrival bounds the run — an open-loop
+        source, nothing waiting and a batch with room (a full batch may
+        queue arrivals mid-run, and a completion would admit the queued
+        head) — and no paged-out request is parked (a completion could let
+        it resume).  Asked only of a batch the threshold found steady.
+        """
+        if self.source.closed_loop or self.waiting:
+            return False
+        paging = self.paging
+        in_transit = 0
+        if paging is not None:
+            if paging.peek_parked() is not None:
+                return False
+            in_transit = paging.in_transit_count
+        return len(self.running) + in_transit < self.max_batch
+
     def steady_context_base(self) -> np.ndarray:
         """Context-length vector of the last built stage (run stage k
         prices at ``base + k``, 1-based)."""
         assert self._steady_ctx is not None
         return self._steady_ctx
 
-    def steady_min_remaining(self) -> int:
-        """Decode stages until the first in-batch completion: the cap on
-        the next steady run (only asked of a steady, non-empty batch)."""
-        return min(r.output_len - r.tokens_generated for r in self.running)
+    def steady_remaining(self) -> list[int]:
+        """Decode stages each running request has left, in batch order: its
+        minimum is the next run's first in-batch completion (only asked of
+        a steady, non-empty batch)."""
+        return [r.output_len - r.tokens_generated for r in self.running]
 
-    def commit_steady_run(self, n_stages: int, final_now_s: float) -> list[Request]:
+    def commit_steady_run(self, n_stages: int, boundaries: np.ndarray) -> list[Request]:
         """Apply ``n_stages`` collapsed decode stages in one mutation.
 
         Equivalent to ``n_stages`` build/complete cycles of an all-decode
-        batch: every running request emits ``n_stages`` tokens, the clock
-        jumps to ``final_now_s`` (the engine's exact cumulative-latency
-        endpoint), and requests whose budget ran out finish — in batch
-        order, exactly as the scalar loop would have finished them on the
-        run's last stage.  The survivors all decode, so the batch stays
-        steady with their contexts ``base + n_stages``, in batch order.
+        batch whose finished requests leave it: ``boundaries[k]`` is the
+        clock after stage ``k`` (``boundaries[0]`` is now, the engine's
+        exact cumulative-latency chain).  A request with ``left <=
+        n_stages`` decode stages to go emits ``left`` tokens and finishes
+        at ``boundaries[left]``; every other request emits ``n_stages``.
+        Finished requests come back — and unpin their prefix blocks and
+        release their paged KV — in the scalar loop's order: by finishing
+        stage, then by batch order.  The survivors all decode, so the
+        batch stays steady with their contexts ``base + n_stages``, in
+        batch order.
         """
         ctx = self._steady_ctx
         assert ctx is not None
-        self.now_s = final_now_s
-        finished: list[Request] = []
+        self.now_s = float(boundaries[n_stages])
+        finishing: list[tuple[int, Request]] = []
         still_running: list[Request] = []
         running = self.running
         for request in running:
-            request.context_len += n_stages
-            generated = request.tokens_generated + n_stages
-            request.tokens_generated = generated
-            if generated >= request.output_len:
-                request.finish(final_now_s)
-                finished.append(request)
-                self._committed_tokens -= request.unique_seq_len
+            left = request.output_len - request.tokens_generated
+            if left <= n_stages:
+                request.context_len += left
+                request.tokens_generated += left
+                finishing.append((left, request))
             else:
+                request.context_len += n_stages
+                request.tokens_generated += n_stages
                 still_running.append(request)
         self.running = still_running
         self._steady_ctx = ctx + n_stages
-        if finished:
-            if self.prefix is not None:
-                for request in finished:
-                    self.prefix.forget(request.request_id)
-            if self.paging is not None:
-                for request in finished:
-                    self.paging.on_release(request)
-            if still_running:
-                survivors = [r.state is not RequestState.FINISHED for r in running]
-                self._steady_ctx = self._steady_ctx[survivors]
-            else:
-                self._steady_ctx = None
+        if not finishing:
+            return []
+        finishing.sort(key=lambda item: item[0])  # stable: batch order per stage
+        finished = [request for _, request in finishing]
+        for left, request in finishing:
+            request.finish(float(boundaries[left]))
+            self._committed_tokens -= request.unique_seq_len
+        if self.prefix is not None:
+            for request in finished:
+                self.prefix.forget(request.request_id)
+        if self.paging is not None:
+            for request in finished:
+                self.paging.on_release(request)
+        if still_running:
+            survivors = [r.state is not RequestState.FINISHED for r in running]
+            self._steady_ctx = self._steady_ctx[survivors]
+        else:
+            self._steady_ctx = None
         return finished
 
     def uncommit(self, request: Request) -> None:

@@ -220,15 +220,14 @@ class SplitServingSimulator:
         scheduler.now_s = max(scheduler.now_s, busy_until)
         engine.step(limits, admit=False)
 
-    def _next_dispatch_s(self) -> float:
+    def _next_dispatch_s(self, room: bool) -> float:
         """The next arrival while the pipeline has room, else ``inf``: an
         exact run bound, since room cannot open during a decode run (a run
-        ends at its first completion, a KV landing on a full decode batch
-        only moves a request from the feed to the decode queue, and a
-        prefill cohort leaves the prefill partition within its stage)."""
-        if self._downstream_in_flight() >= self.effective_batch:
-            return float("inf")
-        return self.source.peek_arrival()
+        of a full pipeline ends at its first in-batch completion, a KV
+        landing on a full decode batch only moves a request from the feed
+        to the decode queue, and a prefill cohort leaves the prefill
+        partition within its stage)."""
+        return self.source.peek_arrival() if room else float("inf")
 
     def _next_event_s(self) -> float:
         """When an idle pipeline next changes (``inf``: never): a KV landing
@@ -246,15 +245,21 @@ class SplitServingSimulator:
     def _drive(self, t: float, limits: SimulationLimits, stop: bool) -> None:
         """The driving loop, shaped like the engine's: each pass dispatches
         due arrivals, then commits a decode run bounded by ``t`` and
-        :meth:`_next_dispatch_s`, or steps one decode stage.  An idle
+        :meth:`_next_dispatch_s` (past in-batch completions only while the
+        pipeline has room), or steps one decode stage.  An idle
         pipeline jumps the decode clock (booking no idle time) to the next
         event, never past ``t``."""
         decode = self.decode_engine
         sim_time_s = limits.max_sim_time_s if stop else None
         while decode.now_s < t and not decode.budget_spent(limits):
             self._dispatch_prefills(limits)
-            horizon = min(t, self._next_dispatch_s())
-            if decode._attempt_steady_run(limits, horizon, sim_time_s) or decode.step(limits):
+            # A decode completion opens room in a full pipeline, so only a
+            # pipeline with room lets a run pass completions.
+            room = self._downstream_in_flight() < self.effective_batch
+            horizon = min(t, self._next_dispatch_s(room))
+            if decode._attempt_steady_run(
+                limits, horizon, sim_time_s, pass_completions=room
+            ) or decode.step(limits):
                 if stop and decode._stop_reached(limits):
                     return
                 continue

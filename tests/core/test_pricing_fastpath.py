@@ -16,8 +16,10 @@ inputs far beyond what the goldens exercise:
 * :class:`SpaceGroupPlan` member rows (stage-minor group sums) vs the
   scalar member-order group walk, on arbitrary partitions;
 * :meth:`StageExecutor.price_decode_run` vs sequential
-  :meth:`StageExecutor.run_stage` calls, on every system family, and the
-  gating-RNG position after a truncated run's rewind.
+  :meth:`StageExecutor.run_stage` calls, on every system family, for runs
+  over a fixed batch and runs that pass in-batch completions (stage ``k``
+  prices the requests still decoding at ``k``), and the gating-RNG
+  position after a truncated run's rewind and its replay.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from repro.core.system import (  # noqa: E402
     hetero_system,
     sharded_system,
 )
+from repro.errors import ConfigError  # noqa: E402
 from repro.hardware.specs import h100_xpu, logic_pim_unit  # noqa: E402
 from repro.models.config import glam, mixtral  # noqa: E402
 from repro.models.layers import LayerMath  # noqa: E402
@@ -243,15 +246,51 @@ def test_decode_run_equals_sequential_stages(name, batch, deterministic):
     assert pricing.n_stages == RUN_STAGES
     for k in range(1, RUN_STAGES + 1):
         result = scalar_exec.run_stage(StageWorkload(decode_context_lengths=ctx + k))
-        assert pricing.latencies[k - 1] == result.latency_s
-        assert pricing.categories == tuple(result.dram_energy_by_category)
-        assert pricing.categories == tuple(result.compute_energy_by_category)
-        for category, dram, compute in zip(
-            pricing.categories, pricing.dram, pricing.compute, strict=True
-        ):
-            assert dram[k - 1] == result.dram_energy_by_category[category]
-            assert compute[k - 1] == result.compute_energy_by_category[category]
-        assert pricing.comm_energy_j == result.comm_energy_j
+        _assert_stage_equals(pricing, k, result, batch)
+
+
+def _assert_stage_equals(pricing, k, result, width):
+    """Stage ``k`` of a priced run is the scalar stage, float for float."""
+    assert pricing.widths[k - 1] == width
+    assert pricing.latencies[k - 1] == result.latency_s
+    assert pricing.categories == tuple(result.dram_energy_by_category)
+    assert pricing.categories == tuple(result.compute_energy_by_category)
+    n_categories = len(pricing.categories)
+    for i, category in enumerate(pricing.categories):
+        assert pricing.energy[i, k - 1] == result.dram_energy_by_category[category]
+        assert (
+            pricing.energy[n_categories + i, k - 1]
+            == result.compute_energy_by_category[category]
+        )
+    fabric = 0.0 if pricing.fabric is None else pricing.fabric[k - 1]
+    assert fabric == result.comm_energy_j
+
+
+def _remaining(batch):
+    """Decode stages left per request, 1..9: a run passes completions."""
+    return np.random.default_rng(batch + 100).integers(1, 10, batch)
+
+
+@pytest.mark.parametrize("deterministic", [False, True], ids=["sampled", "deterministic"])
+@pytest.mark.parametrize("batch", [1, 3, 8, 32])
+@pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
+def test_decode_run_across_completions_equals_sequential_stages(name, batch, deterministic):
+    """Stage k prices the requests still decoding at k: the scalar stage
+    over ``ctx[remaining >= k] + k``, on every system family (data-parallel
+    ones price node 0's share of each segment)."""
+    system, model = ORACLE_SYSTEMS[name]
+    ctx = _contexts(batch)
+    remaining = _remaining(batch)
+    n_stages = min(9, int(remaining.max()))
+    run_exec = StageExecutor(system, model, seed=7, deterministic_gating=deterministic)
+    scalar_exec = StageExecutor(system, model, seed=7, deterministic_gating=deterministic)
+    pricing = run_exec.price_decode_run(ctx, n_stages, remaining)
+    assert pricing.n_stages == n_stages
+    for k in range(1, n_stages + 1):
+        alive = remaining >= k
+        result = scalar_exec.run_stage(StageWorkload(decode_context_lengths=ctx[alive] + k))
+        _assert_stage_equals(pricing, k, result, int(alive.sum()))
+    assert run_exec._router.state_snapshot() == scalar_exec._router.state_snapshot()
 
 
 @pytest.mark.parametrize("committed", [0, 1, RUN_STAGES - 1, RUN_STAGES])
@@ -266,6 +305,34 @@ def test_truncated_run_rewinds_gating_rng(name, committed):
     for k in range(1, committed + 1):
         scalar_exec.run_stage(StageWorkload(decode_context_lengths=ctx + k))
     assert run_exec._router.state_snapshot() == scalar_exec._router.state_snapshot()
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
+def test_truncated_run_across_completions_rewinds_and_replays_gating_rng(name):
+    """Rewinding a run that passes completions redraws its committed
+    stages at their own widths; replaying the rest reaches the end of the
+    run, as the scalar stages do."""
+    system, model = ORACLE_SYSTEMS[name]
+    ctx = _contexts(8)
+    remaining = _remaining(8)
+    n_stages = int(remaining.max())
+    for committed in range(n_stages + 1):
+        run_exec = StageExecutor(system, model, seed=7)
+        scalar_exec = StageExecutor(system, model, seed=7)
+        pricing = run_exec.price_decode_run(ctx, n_stages, remaining)
+        run_exec.rewind_decode_run(pricing, committed)
+        for k in range(1, n_stages + 1):
+            if k == committed + 1:
+                assert run_exec._router.state_snapshot() == scalar_exec._router.state_snapshot()
+            scalar_exec.run_stage(StageWorkload(decode_context_lengths=ctx[remaining >= k] + k))
+        run_exec.replay_decode_run(pricing, committed, n_stages)
+        assert run_exec._router.state_snapshot() == scalar_exec._router.state_snapshot()
+
+
+def test_decode_run_needs_a_request_through_its_last_stage():
+    system, model = ORACLE_SYSTEMS["duplex_pe_et"]
+    with pytest.raises(ConfigError):
+        StageExecutor(system, model).price_decode_run(_contexts(3), 5, np.array([2, 4, 3]))
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
@@ -288,9 +355,8 @@ def test_grown_expert_luts_equal_fresh_tables(name):
         for lut, fresh_lut in zip(grown._run_lut, fresh_luts, strict=True):
             assert np.array_equal(lut[: bound + 1], fresh_lut)
         assert np.array_equal(pricing.latencies, expected.latencies)
-        for ours, theirs in zip(
-            pricing.dram + pricing.compute, expected.dram + expected.compute, strict=True
-        ):
-            assert np.array_equal(ours, theirs)
-        assert pricing.comm_energy_j == expected.comm_energy_j
+        assert np.array_equal(pricing.energy, expected.energy)
+        assert (pricing.fabric is None) == (expected.fabric is None)
+        if pricing.fabric is not None:
+            assert np.array_equal(pricing.fabric, expected.fabric)
     assert grown._run_lut_bound == 32 * model.top_k

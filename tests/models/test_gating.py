@@ -83,3 +83,23 @@ class TestConservationProperty:
         top_k = min(2, n_experts)
         router = ExpertRouter(n_experts=n_experts, top_k=top_k, skew=skew, seed=0)
         assert router.route(n_tokens).sum() == n_tokens * top_k
+
+
+class TestBatchedDraws:
+    @pytest.mark.parametrize("skew", [0.0, 1.5])
+    def test_per_stage_counts_draw_in_stream_order(self, skew):
+        # One routing row per stage, each at its own token count, must be
+        # the sequential route() calls, and leave the stream where they do.
+        tokens = np.array([32, 32, 31, 17, 17, 4, 1])
+        batched = ExpertRouter(n_experts=8, top_k=2, skew=skew, seed=9)
+        sequential = ExpertRouter(n_experts=8, top_k=2, skew=skew, seed=9)
+        rows = batched.route_stages(tokens)
+        assert rows.dtype == np.int64
+        for row, n_tokens in zip(rows, tokens.tolist(), strict=True):
+            assert (row == sequential.route(n_tokens)).all()
+        assert batched.state_snapshot() == sequential.state_snapshot()
+
+    def test_fixed_count_batch_equals_per_stage_draw(self):
+        fixed = ExpertRouter(n_experts=8, top_k=2, seed=4).route_batch(24, 6)
+        per_stage = ExpertRouter(n_experts=8, top_k=2, seed=4).route_stages(np.full(6, 24))
+        assert (fixed == per_stage).all()

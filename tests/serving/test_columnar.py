@@ -17,8 +17,9 @@ Four layers (tier 1 — see TESTING.md):
   completions and runs, audited against the object layer on the same
   configurations (both oracle arms share the scheduler, so the oracle
   alone cannot see a wrong carried context), regression tests that no
-  run is priced unless it commits, and a check that runs are as long as
-  the batch allows (the oracle cannot see a cap that is too small);
+  run is priced unless it commits, and checks that runs are as long as
+  the batch allows (the oracle cannot see a cap that is too small) and,
+  on an open loop, continue past in-batch completions;
 * held runs and full-batch runs: a run sliced by the driving loop's
   horizons is priced once and equals the scalar twin after every slice,
   a full batch runs over a growing queue and leaves it where the scalar
@@ -182,8 +183,8 @@ def _counting_split_runs():
     attempt = ServingEngine._attempt_steady_run
     runs: Counter[str] = Counter()
 
-    def counting(self, *args):
-        committed = attempt(self, *args)
+    def counting(self, *args, **kwargs):
+        committed = attempt(self, *args, **kwargs)
         if committed and self.label.endswith("/decode"):
             runs["split"] += 1
         return committed
@@ -273,8 +274,8 @@ def _auditing_steady_state():
             audits["carried"] += 1
         return finished
 
-    def commit_steady_run(self, n_stages, final_now_s):
-        finished = commit(self, n_stages, final_now_s)
+    def commit_steady_run(self, n_stages, boundaries):
+        finished = commit(self, n_stages, boundaries)
         if _steady_matches_objects(self) and finished:
             audits["carried"] += 1
         return finished
@@ -338,9 +339,9 @@ def _count_pricing(executor) -> list[int]:
     priced: list[int] = []
     price = executor.price_decode_run
 
-    def recording(context_lengths, n_stages):
+    def recording(context_lengths, n_stages, remaining=None):
         priced.append(n_stages)
-        return price(context_lengths, n_stages)
+        return price(context_lengths, n_stages, remaining)
 
     executor.price_decode_run = recording
     return priced
@@ -385,17 +386,17 @@ def test_every_priced_run_commits_on_an_open_loop_run():
     events: list[str] = []
     price, commit = sim.executor.price_decode_run, sim.scheduler.commit_steady_run
 
-    def priced(context_lengths, n_stages):
+    def priced(context_lengths, n_stages, remaining=None):
         events.append("price")
-        return price(context_lengths, n_stages)
+        return price(context_lengths, n_stages, remaining)
 
-    def committed(n_stages, final_now_s):
+    def committed(n_stages, boundaries):
         events.append("commit")
-        return commit(n_stages, final_now_s)
+        return commit(n_stages, boundaries)
 
     sim.executor.price_decode_run = priced
     sim.scheduler.commit_steady_run = committed
-    sim.run(SimulationLimits(max_stages=1500, warmup_stages=20))
+    sim.run(SimulationLimits(max_stages=2000, warmup_stages=20))
     runs = events.count("price")
     assert runs >= 40
     assert events == ["price", "commit"] * runs
@@ -413,8 +414,8 @@ def test_steady_runs_are_as_long_as_the_batch_allows():
     runs: list[tuple[int, int]] = []
     commit = sim.scheduler.commit_steady_run
 
-    def committed(n_stages, final_now_s):
-        finished = commit(n_stages, final_now_s)
+    def committed(n_stages, boundaries):
+        finished = commit(n_stages, boundaries)
         runs.append((n_stages, len(finished)))
         return finished
 
@@ -423,6 +424,53 @@ def test_steady_runs_are_as_long_as_the_batch_allows():
     assert len(runs) >= 50
     # The last run may stop at the stage budget instead.
     assert all(finished or n == _RUN_CAP for n, finished in runs[:-1])
+
+
+def _open_loop_completions(columnar: bool):
+    """An open-loop twin of the closed loop above: arrivals at 2 QPS into a
+    batch of 8, so the batch has room and nothing waits.  Returns the
+    (request id, completion instant) of every finished request in order,
+    and the (stages, stages left per request, queue length) of every run
+    commit."""
+    sim = ServingSimulator(
+        SYSTEM, MODEL, WorkloadSpec(lin_mean=512, lout_mean=300, lout_cv=0.3, qps=2.0),
+        max_batch=8, seed=1, columnar=columnar,
+    )
+    scheduler = sim.scheduler
+    finished: list[tuple[int, float]] = []
+    commits: list[tuple[int, list[int], int]] = []
+    complete, commit = scheduler.complete_stage, scheduler.commit_steady_run
+
+    def complete_stage(latency_s):
+        done = complete(latency_s)
+        finished.extend((r.request_id, r.completion_time_s) for r in done)
+        return done
+
+    def committed(n_stages, boundaries):
+        left = [r.output_len - r.tokens_generated for r in scheduler.running]
+        commits.append((n_stages, left, len(scheduler.waiting)))
+        done = commit(n_stages, boundaries)
+        finished.extend((r.request_id, r.completion_time_s) for r in done)
+        return done
+
+    scheduler.complete_stage = complete_stage
+    scheduler.commit_steady_run = committed
+    sim.run(SimulationLimits(max_stages=4000, warmup_stages=0))
+    return finished, commits
+
+
+def test_open_loop_runs_pass_in_batch_completions():
+    """With room in the batch and nothing waiting, a completion admits
+    nothing, so runs continue through it: some commit finishes a request
+    before the run's last stage, and every request finishes at the
+    instant the scalar loop finishes it."""
+    finished, commits = _open_loop_completions(columnar=True)
+    oracle, _ = _open_loop_completions(columnar=False)
+    passed = [(n, left) for n, left, queued in commits if min(left) < n]
+    assert passed
+    assert all(queued == 0 for n, left, queued in commits if min(left) < n)
+    assert len(finished) >= 10
+    assert finished == oracle
 
 
 # ----------------------------------------------------------------------
@@ -525,9 +573,9 @@ def _record_commits(scheduler) -> list[tuple[int, int]]:
     commits: list[tuple[int, int]] = []
     commit = scheduler.commit_steady_run
 
-    def recording(n_stages, final_now_s):
+    def recording(n_stages, boundaries):
         commits.append((n_stages, len(scheduler.waiting)))
-        return commit(n_stages, final_now_s)
+        return commit(n_stages, boundaries)
 
     scheduler.commit_steady_run = recording
     return commits
@@ -693,14 +741,14 @@ def test_fleet_columnar_matches_scalar_oracle(fleet, seed):
     replay = StageExecutor.replay_decode_run
     commit = ContinuousBatchingScheduler.commit_steady_run
 
-    def replay_decode_run(self, pricing, n_stages):
+    def replay_decode_run(self, pricing, start, end):
         counts["held"] += 1
-        return replay(self, pricing, n_stages)
+        return replay(self, pricing, start, end)
 
-    def commit_steady_run(self, n_stages, final_now_s):
+    def commit_steady_run(self, n_stages, boundaries):
         if self.waiting:
             counts["queued"] += 1
-        return commit(self, n_stages, final_now_s)
+        return commit(self, n_stages, boundaries)
 
     with mock.patch.object(
         StageExecutor, "replay_decode_run", replay_decode_run

@@ -544,11 +544,11 @@ def burst_trace():
     )
 
 
-def crash_cluster(max_attempts):
+def crash_cluster(max_attempts, mttr_s=MTTR_S):
     faults = FaultInjector(
         FaultConfig(
             crash_times=((CRASH_S, 0),),
-            crash_mttr_s=MTTR_S,
+            crash_mttr_s=mttr_s,
             detection_latency_s=DETECT_S,
         )
     )
@@ -643,3 +643,17 @@ class TestCrashRecoveryEndToEnd:
         # token lands only after detection, so its T2FT absorbs the
         # failure penalty rather than resetting at re-admission.
         assert max(merged.t2ft_samples) > DETECT_S
+
+
+def test_outage_still_open_at_fleet_end_runs_to_fleet_end():
+    """Without a repair the crashed replica stays FAILED, its requests
+    complete by retry on the other one, and the report closes the open
+    outage at fleet end (the last replica clock)."""
+    sim = crash_cluster(max_attempts=4, mttr_s=None)
+    report = sim.run(E2E_LIMITS)
+    assert sim.handles[0].state is ReplicaState.FAILED
+    assert report.fleet.requests_completed == N_REQUESTS
+    assert int(report.fleet.faults["retries"]) > 0
+    fleet_end = max(handle.now_s for handle in sim.handles)
+    assert report.fleet.faults["unavailability_s"] == fleet_end - CRASH_S
+    assert report.fleet.faults["unavailability_s"] == pytest.approx(2.10150, abs=5e-6)

@@ -7,12 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigError, SimulationError
 from repro.models.ops import OpCategory
-from repro.serving.metrics import (
-    _COMPUTE_KEYS,
-    _DRAM_KEYS,
-    MetricsCollector,
-    weighted_percentile,
-)
+from repro.serving.metrics import MetricsCollector, weighted_percentile
 
 
 class TestWeightedPercentile:
@@ -275,31 +270,38 @@ class TestCollector:
 RUN_CATEGORIES = (OpCategory.FC, OpCategory.ATTENTION_DECODE, OpCategory.MOE)
 
 
-def _decode_run(seed, n):
-    """(latencies, dram, compute) of an n-stage run; latencies repeat."""
+def _decode_run(seed, n, width, fabric_j):
+    """(latencies, widths, energy, fabric) of an n-stage run whose batch
+    shrinks from ``width``; latencies repeat, and the fabric energy (when
+    any) is zero on the first stages."""
     rng = np.random.default_rng(seed)
     latencies = 0.0105 + rng.integers(0, 6, n) * 5e-4
-    return latencies, rng.random((3, n)), rng.random((3, n))
+    widths = np.sort(rng.integers(1, width + 1, n))[::-1]
+    fabric = None
+    if fabric_j:
+        fabric = rng.random(n) * fabric_j
+        fabric[: n // 4] = 0.0
+    return latencies, widths, rng.random((2 * len(RUN_CATEGORIES), n)), fabric
 
 
-def _record_run(collector, run, tokens, comm_j):
-    latencies, dram, compute = run
-    components = [(_DRAM_KEYS[c], dram[i]) for i, c in enumerate(RUN_CATEGORIES)]
-    components += [(_COMPUTE_KEYS[c], compute[i]) for i, c in enumerate(RUN_CATEGORIES)]
-    collector.record_decode_run(latencies, tokens, components, comm_j)
+def _record_run(collector, run):
+    collector.record_decode_run(run[0], run[1], RUN_CATEGORIES, run[2], run[3])
 
 
-def _record_run_stagewise(collector, run, tokens, comm_j):
-    latencies, dram, compute = run
+def _record_run_stagewise(collector, run):
+    latencies, widths, energy, fabric = run
+    n_categories = len(RUN_CATEGORIES)
     for k, latency in enumerate(latencies.tolist()):
         collector.record_stage(
             latency_s=latency,
             is_mixed=False,
-            decode_tokens=tokens,
-            total_tokens_generated=tokens,
-            dram_energy={c: float(dram[i, k]) for i, c in enumerate(RUN_CATEGORIES)},
-            compute_energy={c: float(compute[i, k]) for i, c in enumerate(RUN_CATEGORIES)},
-            comm_energy_j=comm_j,
+            decode_tokens=int(widths[k]),
+            total_tokens_generated=int(widths[k]),
+            dram_energy={c: float(energy[i, k]) for i, c in enumerate(RUN_CATEGORIES)},
+            compute_energy={
+                c: float(energy[n_categories + i, k]) for i, c in enumerate(RUN_CATEGORIES)
+            },
+            comm_energy_j=0.0 if fabric is None else float(fabric[k]),
         )
 
 
@@ -318,17 +320,17 @@ def _prefill_stage(collector):
 def _twins(seed):
     """The same history recorded with decode runs and stage by stage."""
     runs = [
-        (_decode_run(seed, 300), 32, 0.25),  # past the initial column capacity
-        (_decode_run(seed + 1, 40), 7, 0.0),
-        (_decode_run(seed + 2, 700), 3, 0.5),
+        _decode_run(seed, 300, 32, 0.25),  # past the initial column capacity
+        _decode_run(seed + 1, 40, 7, 0.0),
+        _decode_run(seed + 2, 700, 3, 0.5),
     ]
     batched, stagewise = MetricsCollector(), MetricsCollector()
-    for index, (run, tokens, comm_j) in enumerate(runs):
+    for index, run in enumerate(runs):
         if index == 1:
             _prefill_stage(batched)
             _prefill_stage(stagewise)
-        _record_run(batched, run, tokens, comm_j)
-        _record_run_stagewise(stagewise, run, tokens, comm_j)
+        _record_run(batched, run)
+        _record_run_stagewise(stagewise, run)
     return batched, stagewise
 
 
@@ -367,7 +369,7 @@ class TestTbtPoll:
     def test_poll_returns_the_newest_samples_up_to_the_bound(self):
         collector = MetricsCollector()
         latencies = 0.01 + np.arange(3000) * 1e-6
-        collector.record_decode_run(latencies, 4, [], 0.0)
+        collector.record_decode_run(latencies, np.full(3000, 4), (), np.empty((0, 3000)), None)
         values, weights, cursor = collector.tbt_samples_since(0, 2048)
         assert cursor == 3000
         assert values == latencies[-2048:].tolist()

@@ -55,7 +55,7 @@ class _StubExecutor:
             self.replay_prefills.append(workload.prefill_lengths[0])
         return _StubResult(latency_s=self.latency_s, is_mixed=workload.is_mixed)
 
-    def price_decode_run(self, context_lengths, n_stages):
+    def price_decode_run(self, context_lengths, n_stages, remaining=None):
         return None  # no steady runs: every stage goes through run_stage
 
 

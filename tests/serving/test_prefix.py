@@ -249,7 +249,7 @@ class _StubExecutor:
 
         return _Result()
 
-    def price_decode_run(self, context_lengths, n_stages):
+    def price_decode_run(self, context_lengths, n_stages, remaining=None):
         return None  # no steady runs: every stage goes through run_stage
 
 
