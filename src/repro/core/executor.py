@@ -45,13 +45,12 @@ from repro.core.coprocessing import (
 )
 from repro.core.system import SystemConfig, SystemKind
 from repro.errors import ConfigError, SimulationError
-from repro.hardware.processor import ProcessingUnit
+from repro.hardware.processor import ProcessingUnit, UnitColumns
 from repro.models.config import ModelConfig
 from repro.models.gating import ExpertRouter
 from repro.models.layers import SOFTMAX_FLOPS_PER_SCORE, LayerMath
 from repro.models.ops import OpCategory, Operator
 from repro.parallel.collectives import CollectiveModel
-from repro.units import PJ
 
 
 @dataclass(frozen=True)
@@ -221,6 +220,12 @@ class DecodeRunPricing:
     n_stages: int
 
 
+def _stretches(widths: np.ndarray) -> tuple[list[int], list[int]]:
+    """The (width, stage count) of each stretch of equal widths, in order."""
+    edges = [0, *(np.flatnonzero(widths[1:] != widths[:-1]) + 1).tolist(), int(widths.size)]
+    return [int(widths[lo]) for lo in edges[:-1]], [hi - lo for lo, hi in zip(edges, edges[1:])]
+
+
 #: At or below this many resident experts, the scalar per-count price cache
 #: beats the batched numpy pass (dict hits vs fixed array overhead).
 _SCALAR_EXPERT_MAX = 16
@@ -270,9 +275,9 @@ class StageExecutor:
         # larger table yields the same floats as building one per run.
         self._run_lut_bound = -1
         self._run_lut = np.empty((0, 0))
-        # Decode-attention roofline and energy coefficients of the units a
-        # run may pick, as (units, 1) columns; built by the first run.
-        self._attention_columns: tuple | None = None
+        # Decode-attention coefficients and the units a run may pick;
+        # built by the first run.
+        self._attention_columns: tuple[np.ndarray, UnitColumns] | None = None
         # Scalar per-token-count expert prices — the runtime lookup table of
         # Section V-B extended with energies.  Decode-stage routing repeats
         # the same small counts constantly, so small expert sets price from
@@ -403,31 +408,36 @@ class StageExecutor:
         if n_stages < 1:
             return None
         ctx = np.asarray(context_lengths, dtype=np.int64)
-        batch = int(ctx.size)
-        if batch == 0:
+        if ctx.size == 0:
             return None
         n_run = int(n_stages)
         model = self.model
         n_layers = model.n_layers
         n_nodes = self._n_nodes
         moe_layers = model.n_moe_layers if model.is_moe else 0
+        kvf = self._decode_kv_fraction
         # Segment j spans stages cuts[j] + 1 .. cuts[j + 1] over the
         # requests with more than cuts[j] stages left.
         cuts = [0]
         if remaining is not None:
+            cuts += sorted({n for n in remaining if n < n_run})
+        alive_sets = [ctx]
+        if len(cuts) > 1:
             left = np.asarray(remaining)
-            cuts += np.unique(left[left < n_run]).tolist()
-        constants = []
-        for lo in cuts:
-            alive = ctx if lo == 0 else ctx[left > lo]
+            alive_sets += [ctx[left > lo] for lo in cuts[1:]]
+        counts = []
+        charges = []
+        for alive in alive_sets:
             local = alive if n_nodes == 1 else alive[::n_nodes]
             b_local = int(local.size)
             if b_local == 0:
                 raise ConfigError("a decode run needs a request through its last stage")
+            counts.append((int(alive.size), b_local, int(np.add.reduce(local))))
             fc = self._fc_stage_charge(b_local, b_local)
             comm_total, comm_energy = self._communication_cost(b_local)
             row = [
-                int(alive.size), b_local, int(np.add.reduce(local)),
+                # The query read (and output write) of decode attention.
+                float(b_local) * model.n_heads * model.d_head * model.dtype_bytes * kvf,
                 fc[0], fc[1], fc[2], fc[3], fc[5], fc[6],
                 comm_total, comm_energy if comm_total > 0 else 0.0,
             ]
@@ -444,53 +454,38 @@ class StageExecutor:
                         gate[2] * moe_layers + shared[2] * moe_layers,
                         gate[3] * moe_layers + shared[3] * moe_layers,
                     ]
-            constants.append(row)
-        if len(constants) == 1:
-            # One segment: every charge stays a scalar operand.
-            per_stage = constants[0]
-            widths = np.full(n_run, batch)
-            has_fabric = bool(per_stage[10])
+            charges.append(row)
+        # Every segment's counts (width, local width, local context total)
+        # and charges, per stage.  A run of one segment keeps them scalar
+        # operands: spreading them over its stages cost `decode_closed`,
+        # whose runs nearly all have one segment, about 5% of its
+        # throughput.
+        lengths = [hi - lo for lo, hi in zip(cuts, [*cuts[1:], n_run])]
+        if len(cuts) == 1:
+            per_stage = [*counts[0], *charges[0]]
         else:
-            lengths = np.diff([*cuts, n_run])
-            table = np.array(constants, dtype=np.float64).T
-            per_stage = list(np.repeat(table[3:], lengths, axis=1))
-            counts_table = np.repeat(np.array([row[:3] for row in constants]).T, lengths, axis=1)
-            widths = counts_table[0]
-            per_stage[:0] = (widths, counts_table[1], counts_table[2])
-            has_fabric = any(row[10] for row in constants)
+            per_stage = [
+                *np.repeat(np.array(counts).T, lengths, axis=1),
+                *np.repeat(np.array(charges).T, lengths, axis=1),
+            ]
         (
-            _, b_local_s, total0,
-            qkv_s, dense_s, embed_s, head_s, fc_dram, fc_compute,
+            width, b_local_s, total0,
+            q_read, qkv_s, dense_s, embed_s, head_s, fc_dram, fc_compute,
             comm_s, fabric_j, *moe_constants,
         ) = per_stage
+        widths = np.full(n_run, width)
 
         # ---- attention, vectorized over the stage axis ----------------
-        if len(constants) == 1:
-            # Stage k's total context: total0 + k * b_local (exact ints).
-            totals = np.arange(total0 + b_local_s, total0 + b_local_s * n_run + 1, b_local_s)
-            q_read = float(b_local_s)
-        else:
-            totals = total0 + np.arange(1, n_run + 1) * b_local_s
-            q_read = b_local_s.astype(np.float64)
-        fields, units = self._attention_coefficients()
+        # Stage k's total context: total0 + k * b_local (exact ints).
+        totals = total0 + np.arange(1, n_run + 1) * b_local_s
+        fields, units = self._attention_pricing()
         # (QK^T and PV flops, softmax flops, KV bytes): each (coefficient *
         # total) * kv_fraction, as the scalar path computes them.
-        kvf = self._decode_kv_fraction
         per_token = (totals * fields) * kvf
         flops = per_token[0] + per_token[1]
-        q_read = q_read * model.n_heads * model.d_head * model.dtype_bytes * kvf
-        reads = per_token[2] + q_read
-        eff, bandwidth, launch, read_pj, write_pj, flop_pj = units
         # (time, dram J, compute J) on every candidate unit at once.
-        priced = np.empty((3, eff.shape[0], n_run))
-        np.maximum(flops / eff, (reads + q_read) / bandwidth, out=priced[0])
-        priced[0] += launch
-        np.multiply(reads * 8.0, read_pj, out=priced[1])
-        priced[1] += q_read * 8.0 * write_pj
-        priced[1] *= PJ
-        np.multiply(flops, flop_pj, out=priced[2])
-        priced[2] *= PJ
-        if eff.shape[0] == 1:
+        priced = units.prices(flops, per_token[2] + q_read, q_read)
+        if priced.shape[1] == 1:
             attention = priced[:, 0]
         else:
             # Each stage on the unit that finishes it sooner (xPU on ties).
@@ -515,18 +510,14 @@ class StageExecutor:
             router = self._router
             assert router is not None
             if self.deterministic_gating:
-                expected = np.array([self._expected_counts(row[0]) for row in constants])
-                counts_mat = (
-                    np.tile(expected, (n_run, 1))
-                    if len(constants) == 1
-                    else np.repeat(expected, lengths, axis=0)
-                )
+                expected = np.array([self._expected_counts(count[0]) for count in counts])
+                counts_mat = np.repeat(expected, lengths, axis=0)
             else:
                 rng_state = router.state_snapshot()
-                counts_mat = self._route_run(widths)
+                counts_mat = router.route_stages([count[0] for count in counts], lengths)
             gate_shared_s, seed_dram, seed_compute = moe_constants
             moe_time, moe_energy = self._price_moe_run(
-                counts_mat, batch * router.top_k, gate_shared_s, seed_dram, seed_compute
+                counts_mat, int(ctx.size) * router.top_k, gate_shared_s, seed_dram, seed_compute
             )
             latency += moe_time
             energy[2::n_categories] = moe_energy
@@ -535,28 +526,23 @@ class StageExecutor:
         latency += embed_s
         latency += head_s
 
-        fabric = None
-        if has_fabric:
-            fabric = np.full(n_run, fabric_j) if len(constants) == 1 else fabric_j
         return DecodeRunPricing(
             latencies=latency,
             widths=widths,
             categories=categories,
             energy=energy,
-            fabric=fabric,
+            fabric=np.full(n_run, fabric_j) if any(row[8] for row in charges) else None,
             rng_state=rng_state,
             n_stages=n_run,
         )
 
-    def _attention_coefficients(self) -> tuple:
-        """Decode-attention coefficient columns, built on first use.
+    def _attention_pricing(self) -> tuple[np.ndarray, UnitColumns]:
+        """Decode-attention coefficients, built on first use.
 
         ``(fields, units)``: ``fields`` is the (3, 1) column of per-token
         QK^T-and-PV flops, softmax flops and KV bytes per layer; ``units``
-        holds (effective FLOP/s, bandwidth, launch s, read pJ/bit, write
-        pJ/bit, pJ/FLOP) of the units decode attention may run on, each a
-        ``(units, 1)`` column: the xPU, Logic-PIM or both, in the order of
-        :meth:`_decode_attention_unit`'s tie rule.
+        stacks the units decode attention may run on: the xPU, Logic-PIM
+        or both, in the order of :meth:`_decode_attention_unit`'s tie rule.
         """
         if self._attention_columns is None:
             m, system = self.model, self.system
@@ -575,38 +561,8 @@ class StageExecutor:
                 ],
                 dtype=np.float64,
             )
-            units = tuple(
-                np.array([[value] for value in values])
-                for values in zip(
-                    *(
-                        (
-                            unit.effective_flops,
-                            unit.mem_bandwidth,
-                            unit.launch_overhead_s,
-                            unit.read_energy_pj_per_bit,
-                            unit.write_energy_pj_per_bit,
-                            unit.flop_energy_pj,
-                        )
-                        for unit in candidates
-                    ),
-                    strict=True,
-                )
-            )
-            self._attention_columns = (fields, units)
+            self._attention_columns = (fields, UnitColumns.of(candidates))
         return self._attention_columns
-
-    def _route_run(self, widths: np.ndarray) -> np.ndarray:
-        """One routing row per stage of a run at that stage's width.
-
-        Widths never grow along a run, so equal endpoints mean one width
-        throughout: the faster fixed-count draw.  Either draw consumes the
-        random stream as sequential per-stage routes would.
-        """
-        router = self._router
-        assert router is not None
-        if widths[0] == widths[-1]:
-            return router.route_batch(int(widths[0]), int(widths.size))
-        return router.route_stages(widths)
 
     def rewind_decode_run(self, pricing: DecodeRunPricing, n_committed: int) -> None:
         """Reposition the gating RNG after a truncated run commit.
@@ -624,7 +580,7 @@ class StageExecutor:
         assert self._router is not None
         self._router.state_restore(pricing.rng_state)
         if n_committed > 0:
-            self._route_run(pricing.widths[:n_committed])
+            self._router.route_stages(*_stretches(pricing.widths[:n_committed]))
 
     def replay_decode_run(self, pricing: DecodeRunPricing, start: int, end: int) -> None:
         """Advance the gating RNG over stages ``start + 1 .. end`` of a run.
@@ -637,7 +593,8 @@ class StageExecutor:
         """
         if pricing.rng_state is None or end <= start:
             return
-        self._route_run(pricing.widths[start:end])
+        assert self._router is not None
+        self._router.route_stages(*_stretches(pricing.widths[start:end]))
 
     def _run_luts(self, max_count: int) -> np.ndarray:
         """Count-indexed expert price LUTs covering ``0..max_count``.
@@ -658,26 +615,18 @@ class StageExecutor:
             lut_counts, self._expert_fraction, validate=False, idle=idle
         )
         system = self.system
-        if system.kind is SystemKind.GPU or system.kind is SystemKind.HETERO:
-            unit = self._xpu if system.kind is SystemKind.GPU else self._pim
-            assert unit is not None
-            luts = (
-                unit.op_times(fl, brr, bww, zero_mask=idle, validate=False),
-                unit.dram_energies(brr, bww),
-                unit.compute_energies(fl),
-            )
+        if system.kind is SystemKind.GPU:
+            assert self._xpu is not None
+            units: tuple[ProcessingUnit, ...] = (self._xpu,)
+        elif system.kind is SystemKind.HETERO:
+            assert self._pim is not None
+            units = (self._pim,)
         else:
             assert self._xpu is not None and self._pim is not None
-            luts = (
-                self._xpu.op_times(fl, brr, bww, zero_mask=idle, validate=False),
-                self._pim.op_times(fl, brr, bww, zero_mask=idle, validate=False),
-                self._xpu.dram_energies(brr, bww),
-                self._pim.dram_energies(brr, bww),
-                self._xpu.compute_energies(fl),
-                self._pim.compute_energies(fl),
-            )
+            units = (self._xpu, self._pim)
         self._run_lut_bound = bound
-        self._run_lut = np.stack(luts)
+        # (times, dram, compute) x units, as rows.
+        self._run_lut = UnitColumns.of(units).prices(fl, brr, bww, idle).reshape(-1, bound + 1)
         return self._run_lut
 
     def _price_moe_run(

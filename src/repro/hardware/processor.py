@@ -16,18 +16,67 @@ evaluate whole batches of operators (one element per operator) in a single
 numpy pass.  They apply the scalar formulas elementwise in the same
 floating-point operation order, so each element is bit-identical to the
 corresponding scalar call — the serving stack's exact pricing path relies
-on that equivalence.
+on that equivalence.  :class:`UnitColumns` prices one batch of operators
+on several units at once through the same array formulas.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ConfigError
 from repro.units import PJ
+
+
+def _roofline_times(
+    flops: np.ndarray,
+    bytes_read: np.ndarray,
+    bytes_written: np.ndarray,
+    effective_flops: float | np.ndarray,
+    mem_bandwidth: float | np.ndarray,
+    launch_overhead_s: float | np.ndarray,
+    zero_mask: np.ndarray | None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Elementwise roofline times, launch overhead included: the array
+    formula behind :meth:`ProcessingUnit.op_times` and
+    :meth:`UnitColumns.prices`.  Operators marked in ``zero_mask`` (along
+    the last axis) do no work and cost exactly 0.0."""
+    times = np.maximum(
+        flops / effective_flops, (bytes_read + bytes_written) / mem_bandwidth, out=out
+    )
+    times += launch_overhead_s
+    if zero_mask is not None and zero_mask.any():
+        times[..., zero_mask] = 0.0
+    return times
+
+
+def _dram_joules(
+    bytes_read: np.ndarray,
+    bytes_written: np.ndarray,
+    read_pj_per_bit: float | np.ndarray,
+    write_pj_per_bit: float | np.ndarray,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Elementwise DRAM-traffic energies (J): ``(read bits * read pJ +
+    written bits * write pJ) * PJ``."""
+    joules = np.multiply(bytes_read * 8.0, read_pj_per_bit, out=out)
+    joules += bytes_written * 8.0 * write_pj_per_bit
+    joules *= PJ
+    return joules
+
+
+def _compute_joules(
+    flops: np.ndarray, flop_energy_pj: float | np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Elementwise compute energies (J)."""
+    joules = np.multiply(flops, flop_energy_pj, out=out)
+    joules *= PJ
+    return joules
 
 
 class UnitKind(enum.Enum):
@@ -140,15 +189,17 @@ class ProcessingUnit:
             (flops < 0).any() or (bytes_read < 0).any() or (bytes_written < 0).any()
         ):
             raise ConfigError("operator flops/bytes must be non-negative")
-        busy = np.maximum(
-            flops / self.effective_flops, (bytes_read + bytes_written) / self.mem_bandwidth
-        )
-        times = busy + self.launch_overhead_s
         if zero_mask is None:
             zero_mask = (flops == 0) & (bytes_read == 0) & (bytes_written == 0)
-        if zero_mask.any():
-            times[zero_mask] = 0.0
-        return times
+        return _roofline_times(
+            flops,
+            bytes_read,
+            bytes_written,
+            self.effective_flops,
+            self.mem_bandwidth,
+            self.launch_overhead_s,
+            zero_mask,
+        )
 
     # ------------------------------------------------------------------
     # energy
@@ -175,14 +226,13 @@ class ProcessingUnit:
 
     def dram_energies(self, bytes_read: np.ndarray, bytes_written: np.ndarray) -> np.ndarray:
         """DRAM-traffic energies for a batch of operators (elementwise)."""
-        return (
-            bytes_read * 8.0 * self.read_energy_pj_per_bit
-            + bytes_written * 8.0 * self.write_energy_pj_per_bit
-        ) * PJ
+        return _dram_joules(
+            bytes_read, bytes_written, self.read_energy_pj_per_bit, self.write_energy_pj_per_bit
+        )
 
     def compute_energies(self, flops: np.ndarray) -> np.ndarray:
         """Compute energies for a batch of operators (elementwise)."""
-        return flops * self.flop_energy_pj * PJ
+        return _compute_joules(flops, self.flop_energy_pj)
 
     # ------------------------------------------------------------------
     # derived views
@@ -197,3 +247,72 @@ class ProcessingUnit:
     def utilization(self, flops: float, bytes_read: float, bytes_written: float = 0.0) -> float:
         """Fraction of peak compute an operator achieves (Section III)."""
         return self.achieved_flops(flops, bytes_read, bytes_written) / self.peak_flops
+
+
+@dataclass(frozen=True)
+class UnitColumns:
+    """The roofline and energy coefficients of several processing units,
+    each a ``(units, 1)`` column, to price one batch of operators on every
+    unit at once.
+
+    Unit ``u``'s rows of :meth:`prices` are bit-identical to its
+    :meth:`ProcessingUnit.op_times`, :meth:`~ProcessingUnit.dram_energies`
+    and :meth:`~ProcessingUnit.compute_energies` on the same operands:
+    both apply the module's array formulas.
+    """
+
+    effective_flops: np.ndarray
+    mem_bandwidth: np.ndarray
+    launch_overhead_s: np.ndarray
+    read_energy_pj_per_bit: np.ndarray
+    write_energy_pj_per_bit: np.ndarray
+    flop_energy_pj: np.ndarray
+
+    @classmethod
+    def of(cls, units: Sequence[ProcessingUnit]) -> UnitColumns:
+        def column(values: list[float]) -> np.ndarray:
+            return np.array(values, dtype=np.float64)[:, None]
+
+        return cls(
+            column([unit.effective_flops for unit in units]),
+            column([unit.mem_bandwidth for unit in units]),
+            column([unit.launch_overhead_s for unit in units]),
+            column([unit.read_energy_pj_per_bit for unit in units]),
+            column([unit.write_energy_pj_per_bit for unit in units]),
+            column([unit.flop_energy_pj for unit in units]),
+        )
+
+    def prices(
+        self,
+        flops: np.ndarray,
+        bytes_read: np.ndarray,
+        bytes_written: np.ndarray,
+        zero_mask: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Every operator priced on every unit: a ``(3, units, operators)``
+        array of times, DRAM joules and compute joules.
+
+        Operators marked in ``zero_mask`` cost 0.0 s; unlike
+        :meth:`ProcessingUnit.op_times`, no mask is derived when none is
+        given (callers whose operators always move bytes skip it).
+        """
+        priced = np.empty((3, self.effective_flops.shape[0], flops.shape[-1]))
+        _roofline_times(
+            flops,
+            bytes_read,
+            bytes_written,
+            self.effective_flops,
+            self.mem_bandwidth,
+            self.launch_overhead_s,
+            zero_mask,
+            out=priced[0],
+        )
+        _dram_joules(
+            bytes_read,
+            bytes_written,
+            self.read_energy_pj_per_bit,
+            self.write_energy_pj_per_bit,
+            out=priced[1],
+        )
+        _compute_joules(flops, self.flop_energy_pj, out=priced[2])
+        return priced

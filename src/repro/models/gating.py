@@ -11,6 +11,8 @@ always conserve tokens: they sum to ``n_tokens * top_k``.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro.errors import ConfigError
@@ -65,44 +67,28 @@ class ExpertRouter:
         counts = self._rng.multinomial(n_tokens * self.top_k, self._probabilities)
         return counts.astype(np.int64, copy=False)
 
-    def route_batch(self, n_tokens: int, n_stages: int) -> np.ndarray:
-        """Sample ``n_stages`` consecutive stage routings in one draw.
+    def route_stages(self, tokens: Sequence[int], lengths: Sequence[int]) -> np.ndarray:
+        """Sample one routing per stage over consecutive stretches of
+        stages: ``lengths[j]`` stages at ``tokens[j]`` (positive) tokens
+        each.
 
-        Row ``k`` is bit-identical to the ``k``-th sequential
-        :meth:`route` call from the same RNG state (numpy's ``size=``
-        multinomial draws rows in stream order), which is what lets the
-        columnar decode fast path batch whole runs of stages without
-        perturbing the random stream.
+        Row ``k`` is bit-identical to the ``k``-th of the sequential
+        :meth:`route` calls: each stretch is one ``size=`` multinomial
+        draw, whose rows numpy draws in stream order (an array-``n`` draw
+        over every stage would match too, at several times the fixed
+        cost).  That is what lets the columnar decode fast path route a
+        whole run of stages — its batch shrinking at in-batch completions
+        — without perturbing the random stream.
 
         Returns:
-            int64 array of shape ``(n_stages, n_experts)``; each row
-            sums to ``n_tokens * top_k``.
+            int64 array of shape ``(sum(lengths), n_experts)``.
         """
-        if n_tokens < 0:
-            raise ConfigError("token count must be non-negative")
-        if n_stages < 1:
-            raise ConfigError("stage count must be positive")
-        if n_tokens == 0:
-            return np.zeros((n_stages, self.n_experts), dtype=np.int64)
-        counts = self._rng.multinomial(
-            n_tokens * self.top_k, self._probabilities, size=n_stages
+        counts = np.concatenate(
+            [
+                self._rng.multinomial(n_tokens * self.top_k, self._probabilities, size=n_stages)
+                for n_tokens, n_stages in zip(tokens, lengths, strict=True)
+            ]
         )
-        return counts.astype(np.int64, copy=False)
-
-    def route_stages(self, stage_tokens: np.ndarray) -> np.ndarray:
-        """Sample one routing per stage, each at its own (positive) token
-        count, in one draw.
-
-        Row ``k`` is bit-identical to a sequential :meth:`route` call at
-        ``stage_tokens[k]`` (numpy's array-``n`` multinomial draws rows in
-        stream order) — a decode run whose batch shrinks at in-batch
-        completions draws every stage at once.  :meth:`route_batch` is the
-        faster draw when every stage has the same count.
-
-        Returns:
-            int64 array of shape ``(len(stage_tokens), n_experts)``.
-        """
-        counts = self._rng.multinomial(stage_tokens * self.top_k, self._probabilities)
         return counts.astype(np.int64, copy=False)
 
     def state_snapshot(self) -> dict:

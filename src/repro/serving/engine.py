@@ -717,14 +717,17 @@ class ServingEngine:
         warm-up gate or the stage budget.
 
         A run ends at the batch's first in-batch completion unless no
-        completion can admit anything
-        (:meth:`~repro.serving.scheduler.ContinuousBatchingScheduler.completions_admit_nothing`),
+        completion can admit anything (the scheduler's
+        :attr:`~repro.serving.scheduler.ContinuousBatchingScheduler.completions_admit_nothing`),
         no ``target_completions`` stop rule counts them, and the driver
         allows it (``pass_completions``: the split pipeline's admission
         room can open at a decode completion).  Then finished requests
         leave at the boundary after their last stage, and the run extends
         toward the batch's last completion, by as many stages as fit
-        before the next bound (the threshold or ``horizon_s``).
+        before the next bound (the threshold or ``horizon_s``).  The rule
+        holds at every attempt, held stages included: a held run priced
+        to pass completions ends at its next one when resumed where none
+        may pass.
 
         A run is sized by the engine's own threshold (the next arrival,
         paging landing or straggler-window edge) and commits the stages
@@ -769,24 +772,25 @@ class ServingEngine:
             return 0
         stages = self.stages
         warmup = limits.warmup_stages
+        may_pass = (
+            pass_completions
+            and scheduler.completions_admit_nothing
+            and limits.target_completions is None
+        )
         held = self._held_run
         if held is not None and held[1][held[2]] == now:
             pricing, boundaries, start = held
         else:
             remaining = scheduler.steady_remaining()
-            first = min(remaining)
-            cap = first
+            cap = first = min(remaining)
             last_latency = self._last_decode_latency_s
-            if pass_completions and limits.target_completions is None:
-                last = max(remaining)
-                if last > first and scheduler.completions_admit_nothing():
-                    if stop == float("inf"):
-                        cap = last
-                    elif last_latency > 0.0:
-                        # Sized by the next bound: a tail held past a
-                        # routing horizon is lost when routing changes
-                        # the batch.
-                        cap = max(first, min(last, int((stop - now) / last_latency) + 2))
+            if may_pass:
+                if stop == float("inf"):
+                    cap = max(remaining)
+                elif last_latency > 0.0:
+                    # Sized by the next bound: a tail held past a routing
+                    # horizon is lost when routing changes the batch.
+                    cap = max(first, min(max(remaining), int((stop - now) / last_latency) + 2))
             cap = min(cap, _RUN_CAP)
             if stages < warmup:
                 cap = min(cap, warmup - stages)  # runs never straddle warm-up
@@ -802,9 +806,7 @@ class ServingEngine:
                 # not thrown away.
                 cap = min(cap, int((threshold - now) / last_latency) + 2)
             pricing = self.executor.price_decode_run(
-                scheduler.steady_context_base(),
-                cap,
-                np.array(remaining) if cap > first else None,
+                scheduler.steady_context_base(), cap, remaining
             )
             if pricing is None:
                 return 0
@@ -814,6 +816,12 @@ class ServingEngine:
             boundaries = np.concatenate(([now], pricing.latencies)).cumsum()
             start = 0
         end = pricing.n_stages
+        widths = pricing.widths
+        if not may_pass and widths[-1] != widths[start]:
+            # A held run priced to pass completions, resumed where none may
+            # pass (a split pipeline that has filled since), ends at its
+            # next completion: the stage after it has fewer requests.
+            end = start + 1 + int(np.argmax(widths[start + 1 :] != widths[start]))
         if stop != float("inf"):
             # A stage joins the run iff it *starts* strictly before the
             # threshold — at the threshold instant the scalar loop would

@@ -112,6 +112,9 @@ class ContinuousBatchingScheduler:
         # landing, a preemption, a release, or a request still prefilling
         # invalidates it.
         self._steady_ctx: np.ndarray | None = None
+        #: Whether a steady run may pass in-batch completions, as of the
+        #: last :meth:`steady_run_threshold` that returned a threshold.
+        self.completions_admit_nothing = False
 
     # ------------------------------------------------------------------
     # stage construction
@@ -597,13 +600,10 @@ class ContinuousBatchingScheduler:
 
         Nothing joins the batch mid-run, so mid-run blockages are
         time-invariant: a full batch stays full and an over-capacity
-        parked head stays parked until the first completion.  A run ends
-        at its first in-batch completion unless
-        :meth:`completions_admit_nothing` holds; past it, requests simply
-        leave the batch.  Admission, parked-head resumes and preemption
-        all need a free slot, so a full batch may run while requests
-        queue, as long as the policy's ``shed`` and ``order_waiting``
-        ignore the clock
+        parked head stays parked until the first completion.  Admission,
+        parked-head resumes and preemption all need a free slot, so a
+        full batch may run while requests queue, as long as the policy's
+        ``shed`` and ``order_waiting`` ignore the clock
         (:attr:`~repro.serving.policy.SchedulingPolicy.queue_ignores_clock`);
         arrivals then do not bound the run, and the engine queues them
         with :meth:`queue_arrivals` before committing it.  Otherwise
@@ -612,6 +612,16 @@ class ContinuousBatchingScheduler:
         :meth:`complete_stage`), so a run can start at the first stage
         after either; a threshold at or before ``now_s`` means an arrival
         or landing is already due.
+
+        Alongside a threshold, this records
+        :attr:`completions_admit_nothing`: whether no in-batch completion
+        before the threshold can admit anything, so a run may continue
+        through completions, requests simply leaving the batch.  That
+        holds for a batch with room (then the source is open-loop, nothing
+        waits and the next arrival bounds the run; a completion in a full
+        batch would admit a queued head) and no paged-out request parked
+        (a completion could let it resume).  Otherwise a run ends at its
+        first in-batch completion.
         """
         if self._steady_ctx is None or not self.running:
             return None
@@ -624,10 +634,12 @@ class ContinuousBatchingScheduler:
         queue_frozen = batch_full and self.policy.queue_ignores_clock
         if self.waiting and not queue_frozen:
             return None
+        parked = False
         if paging is not None:
             head = paging.peek_parked()
             if head is not None and not batch_full and self._parked_head_fits(head):
                 return None  # a parked victim would resume right now
+            parked = head is not None
             threshold = paging.next_ready_s()
         if self.source.closed_loop:
             # Closed-loop sources always have a request ready (peek_arrival
@@ -637,27 +649,8 @@ class ContinuousBatchingScheduler:
                 return None
         elif not queue_frozen:
             threshold = min(threshold, self.source.peek_arrival())
+        self.completions_admit_nothing = not (batch_full or parked)
         return threshold
-
-    def completions_admit_nothing(self) -> bool:
-        """Whether a steady run may pass in-batch completions: no
-        completion before :meth:`steady_run_threshold` can admit anything.
-
-        That holds when the next arrival bounds the run — an open-loop
-        source, nothing waiting and a batch with room (a full batch may
-        queue arrivals mid-run, and a completion would admit the queued
-        head) — and no paged-out request is parked (a completion could let
-        it resume).  Asked only of a batch the threshold found steady.
-        """
-        if self.source.closed_loop or self.waiting:
-            return False
-        paging = self.paging
-        in_transit = 0
-        if paging is not None:
-            if paging.peek_parked() is not None:
-                return False
-            in_transit = paging.in_transit_count
-        return len(self.running) + in_transit < self.max_batch
 
     def steady_context_base(self) -> np.ndarray:
         """Context-length vector of the last built stage (run stage k

@@ -223,10 +223,10 @@ class SplitServingSimulator:
     def _next_dispatch_s(self, room: bool) -> float:
         """The next arrival while the pipeline has room, else ``inf``: an
         exact run bound, since room cannot open during a decode run (a run
-        of a full pipeline ends at its first in-batch completion, a KV
-        landing on a full decode batch only moves a request from the feed
-        to the decode queue, and a prefill cohort leaves the prefill
-        partition within its stage)."""
+        of a full pipeline, held stages included, ends at its first
+        in-batch completion, a KV landing on a full decode batch only
+        moves a request from the feed to the decode queue, and a prefill
+        cohort leaves the prefill partition within its stage)."""
         return self.source.peek_arrival() if room else float("inf")
 
     def _next_event_s(self) -> float:

@@ -1,11 +1,12 @@
 """Tests for the roofline processing-unit model."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
-from repro.hardware.processor import ProcessingUnit, UnitKind
+from repro.hardware.processor import ProcessingUnit, UnitColumns, UnitKind
 from repro.units import GB, TFLOPS
 
 
@@ -128,3 +129,35 @@ class TestValidation:
     def test_rejects_negative_overhead(self):
         with pytest.raises(ConfigError):
             make_unit(launch_overhead_s=-1)
+
+
+class TestUnitColumns:
+    def test_stacked_prices_equal_each_units_array_methods(self):
+        # Two units with different rooflines, launch overheads and energy
+        # coefficients; a zero-work operator among real ones.
+        units = (
+            make_unit(compute_efficiency=0.7, launch_overhead_s=2e-6),
+            make_unit(
+                name="pim", kind=UnitKind.LOGIC_PIM, peak_flops=8 * TFLOPS,
+                mem_bandwidth=4e12, launch_overhead_s=5e-7, read_energy_pj_per_bit=1.5,
+                write_energy_pj_per_bit=2.5, flop_energy_pj=0.4,
+            ),
+        )
+        rng = np.random.default_rng(0)
+        flops = rng.uniform(0.0, 1e12, 7)
+        reads = rng.uniform(0.0, 1e9, 7)
+        writes = rng.uniform(0.0, 1e8, 7)
+        flops[3] = reads[3] = writes[3] = 0.0
+        idle = (flops == 0) & (reads == 0) & (writes == 0)
+        priced = UnitColumns.of(units).prices(flops, reads, writes, idle)
+        assert priced.shape == (3, 2, 7)
+        for row, unit in enumerate(units):
+            assert (priced[0, row] == unit.op_times(flops, reads, writes)).all()
+            assert (priced[1, row] == unit.dram_energies(reads, writes)).all()
+            assert (priced[2, row] == unit.compute_energies(flops)).all()
+            assert priced[0, row, 3] == 0.0
+            # The array formulas equal the scalar methods, element by element.
+            for k in range(7):
+                assert priced[0, row, k] == unit.op_time(flops[k], reads[k], writes[k])
+                assert priced[1, row, k] == unit.dram_energy(reads[k], writes[k])
+                assert priced[2, row, k] == unit.compute_energy(flops[k])

@@ -87,19 +87,19 @@ class TestConservationProperty:
 
 class TestBatchedDraws:
     @pytest.mark.parametrize("skew", [0.0, 1.5])
-    def test_per_stage_counts_draw_in_stream_order(self, skew):
-        # One routing row per stage, each at its own token count, must be
-        # the sequential route() calls, and leave the stream where they do.
-        tokens = np.array([32, 32, 31, 17, 17, 4, 1])
+    @pytest.mark.parametrize(
+        "stretches", [([32, 31, 17, 4, 1], [2, 1, 2, 1, 1]), ([24], [6]), ([5], [1])]
+    )
+    def test_per_stage_counts_draw_in_stream_order(self, skew, stretches):
+        # One routing row per stage, each at its stretch's token count,
+        # must be the sequential route() calls, and leave the stream where
+        # they do.
+        tokens, lengths = stretches
         batched = ExpertRouter(n_experts=8, top_k=2, skew=skew, seed=9)
         sequential = ExpertRouter(n_experts=8, top_k=2, skew=skew, seed=9)
-        rows = batched.route_stages(tokens)
+        rows = batched.route_stages(tokens, lengths)
         assert rows.dtype == np.int64
-        for row, n_tokens in zip(rows, tokens.tolist(), strict=True):
+        per_stage = np.repeat(tokens, lengths).tolist()
+        for row, n_tokens in zip(rows, per_stage, strict=True):
             assert (row == sequential.route(n_tokens)).all()
         assert batched.state_snapshot() == sequential.state_snapshot()
-
-    def test_fixed_count_batch_equals_per_stage_draw(self):
-        fixed = ExpertRouter(n_experts=8, top_k=2, seed=4).route_batch(24, 6)
-        per_stage = ExpertRouter(n_experts=8, top_k=2, seed=4).route_stages(np.full(6, 24))
-        assert (fixed == per_stage).all()

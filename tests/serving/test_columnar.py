@@ -22,9 +22,11 @@ Four layers (tier 1 — see TESTING.md):
   on an open loop, continue past in-batch completions;
 * held runs and full-batch runs: a run sliced by the driving loop's
   horizons is priced once and equals the scalar twin after every slice,
-  a full batch runs over a growing queue and leaves it where the scalar
-  loop does, and a fleet-level oracle (an elastic, a crash-and-retry and
-  a split fleet) requires the scalar fleet's report and trajectories.
+  a held run resumed in a split pipeline that has filled ends at its
+  next completion, a full batch runs over a growing queue and leaves it
+  where the scalar loop does, and a fleet-level oracle (an elastic, a
+  crash-and-retry and a split fleet) requires the scalar fleet's report
+  and trajectories.
 
 Split decode engines take steady runs too, so every configuration with a
 split pipeline must commit at least one: an oracle arm that never leaves
@@ -67,6 +69,7 @@ from repro.serving.policy import (  # noqa: E402
 from repro.serving.request import Request, RequestState  # noqa: E402
 from repro.serving.scheduler import ContinuousBatchingScheduler  # noqa: E402
 from repro.serving.simulator import ServingSimulator  # noqa: E402
+from repro.serving.split import SplitServingSimulator  # noqa: E402
 from repro.serving.trace import TraceRecord, TraceReplayGenerator  # noqa: E402
 
 from test_invariants import CONFIGURATIONS, spec_strategy  # noqa: E402
@@ -518,6 +521,70 @@ def test_routed_arrival_drops_the_held_run():
     assert _engine_state(engine) == _engine_state(twin)
     assert engine.finished_ids == twin.finished_ids
     assert len(priced) > 1  # the grown batch priced runs of its own
+
+
+#: (arrival s, prompt tokens, output tokens) into a split pipeline of four:
+#: arrivals come in pairs less than one decode stage apart, so the second
+#: of a pair waits for room while the first fills the pipeline.
+SPLIT_TRACE = (
+    (0.19, 64, 11), (0.5, 64, 11), (0.57, 64, 59), (0.58, 128, 37),
+    (0.924, 256, 40), (0.937, 256, 40), (0.937, 256, 27), (1.05, 256, 34),
+    (1.06, 128, 25),
+)
+
+
+def _split_pipeline(columnar: bool):
+    """Run :data:`SPLIT_TRACE` through a split pipeline of four.  Returns
+    the simulator, its requests in arrival order, and one flag per held
+    run resumed while the pipeline had no room: whether its held stages
+    pass an in-batch completion."""
+    trace = TraceReplayGenerator([TraceRecord(*record) for record in SPLIT_TRACE])
+    requests: list[Request] = []
+    take = trace.take
+
+    def taking(now_s):
+        requests.append(take(now_s))
+        return requests[-1]
+
+    trace.take = taking
+    sim = SplitServingSimulator(MODEL, trace, max_batch=4, seed=0)
+    engine = sim.decode_engine
+    engine.columnar = columnar
+    resumed: list[bool] = []
+    attempt = engine._attempt_steady_run
+
+    def attempting(limits, horizon_s, sim_time_s, pass_completions):
+        held = engine._held_run
+        if held is not None and held[1][held[2]] == engine.now_s and not pass_completions:
+            pricing, _, start = held
+            resumed.append(bool(pricing.widths[start] != pricing.widths[-1]))
+        return attempt(limits, horizon_s, sim_time_s, pass_completions=pass_completions)
+
+    engine._attempt_steady_run = attempting
+    sim.run(SimulationLimits(max_stages=5000, warmup_stages=0))
+    return sim, requests, resumed
+
+
+def test_held_run_resumed_in_a_full_split_pipeline_ends_at_its_next_completion():
+    """A run priced while the pipeline has room passes completions and is
+    cut at an arrival; that arrival fills the pipeline.  Resumed, the held
+    stages must end at their next completion, where the scalar loop
+    dispatches the queued second arrival of the pair: running past it
+    would start that prefill, and its first token, late."""
+    sim, requests, resumed = _split_pipeline(columnar=True)
+    twin, oracle, _ = _split_pipeline(columnar=False)
+    assert any(resumed)
+
+    def timeline(batch):
+        return [(r.request_id, r.first_token_time_s, r.completion_time_s) for r in batch]
+
+    assert len(requests) == len(SPLIT_TRACE)
+    assert timeline(requests) == timeline(oracle)
+    for engine, scalar in zip(sim.engines, twin.engines, strict=True):
+        assert engine.scheduler.admitted_log == scalar.scheduler.admitted_log
+        assert engine.finished_ids == scalar.finished_ids
+        assert (engine.now_s, engine.stages) == (scalar.now_s, scalar.stages)
+    assert sim.metrics.report() == twin.metrics.report()
 
 
 # ----------------------------------------------------------------------
