@@ -20,9 +20,11 @@ slow:  ## CI slow stage entry: benchmarks only (goldens, sweeps)
 SWEEPS := capacity sharding chaos prefix
 EXAMPLES := $(wildcard examples/*.py)
 
-identity:  ## outputs byte-identical to the checkout: regenerate goldens, figure tables, sweep smokes and example outputs, diff
+identity:  ## outputs byte-identical to the checkout: regenerate goldens, figure tables, run_all artefacts, sweep smokes and example outputs, diff
 	$(PYTEST) tests/golden -q --update-golden
 	$(PYTEST) benchmarks -x -q
+	# Every paper artefact run_all writes: the figure tables above plus the fleet sweeps.
+	PYTHONPATH=src $(PYTHON) -m repro.experiments.run_all benchmarks/results --workers 1
 	for sweep in $(SWEEPS); do \
 		PYTHONPATH=src $(PYTHON) -m repro.experiments.$$sweep --smoke benchmarks/results/$${sweep}_smoke.txt || exit 1; \
 	done

@@ -18,7 +18,6 @@ from repro.core.coprocessing import (
     ExpertTimeLookup,
     SpaceGroupPlan,
     assign_experts,
-    assign_from_times,
 )
 from repro.core.device import DeviceModel, bank_pim_duplex_device, duplex_device, gpu_device, pim_only_device
 from repro.core.executor import StageExecutor, StageResult, StageWorkload
@@ -35,7 +34,6 @@ __all__ = [
     "SystemConfig",
     "SystemKind",
     "assign_experts",
-    "assign_from_times",
     "bank_pim_duplex_device",
     "default_topology",
     "duplex_device",

@@ -14,13 +14,18 @@ bank-bundle memory space must move together, so the two units never touch
 the same bundle concurrently.  :func:`assign_experts` supports both expert
 granularity (``groups=None``) and space granularity.
 
-The greedy is evaluated as array operations: a stable argsort orders the
-move candidates, and cumulative sums over the sorted per-group times give
-every prefix's makespan in one pass.  Running totals are formed with
-cumulative sums seeded by the initial all-xPU total, which reproduces the
-original iterative ``-=``/``+=`` accumulation bit-for-bit — serving-stack
-exact pricing (and the golden snapshots) depend on that equivalence, which
-the property tests pin against the iterative loop kept in
+The greedy has two implementations over precomputed unit times, both
+reproducing the original iterative ``-=``/``+=`` accumulation bit-for-bit
+(serving-stack exact pricing and the golden snapshots depend on that):
+
+* :func:`assign_from_time_lists` — one stage on Python floats, as the
+  stage executor prices every MoE layer of a stage;
+* :func:`assign_columns` — every stage of a steady decode run at once, one
+  column per stage: a stable argsort orders each column's move candidates,
+  and cumulative sums seeded by the all-xPU total give every prefix's
+  makespan in one pass.
+
+The property tests pin both against the iterative loop kept in
 ``tests/core/oracles.py``.
 """
 
@@ -69,9 +74,9 @@ class ExpertTimeLookup:
 
     Mirrors the paper's runtime lookup table: the first query for a token
     count computes the roofline time; later queries hit the cache.  The
-    :meth:`unit_times` variant prices all resident experts of a stage in
-    one numpy pass instead (no cache needed — the batched evaluation is
-    cheaper than the dict lookups it replaces).
+    :meth:`unit_times` variant prices a whole count vector in one numpy
+    pass, as :func:`assign_experts` needs it.  (The stage executor keeps
+    its own count-indexed table, with energies.)
 
     Args:
         layer_math: layer math of the model being served.
@@ -142,15 +147,15 @@ class SpaceGroupPlan:
     Validating and normalising the group structure costs more than the
     assignment itself on small expert counts, so callers pricing thousands
     of stages (the stage executor) compile the groups once and pass the
-    plan to :func:`assign_from_times`.
+    plan to :func:`assign_from_time_lists` or :func:`assign_columns`.
 
-    For greedies evaluated over many stages at once (one row per expert,
-    one column per stage) the plan also holds ``group_of``, each expert's
-    unit index, and ``member_rows``: for each position ``p`` within a
-    unit, the pair (units with a member at ``p``, those members), each a
-    row selector.  Starting from every unit's first member and adding each
-    later position's member rows onto their units sums every unit in
-    member order, as :func:`_accumulate_groups` does.
+    For :func:`assign_columns` (one row per expert, one column per stage)
+    the plan also holds ``group_of``, each expert's unit index, and
+    ``member_rows``: for each position ``p`` within a unit, the pair
+    (units with a member at ``p``, those members), each a row selector.
+    Starting from every unit's first member and adding each later
+    position's member rows onto their units sums every unit in member
+    order, as :func:`_accumulate_groups` does.
 
     Args:
         n_experts: resident experts the plan covers.
@@ -201,8 +206,10 @@ def assign_experts(
             (Section V-C).  ``None`` moves experts individually.
 
     Returns:
-        The greedy assignment; zero-token experts contribute no time and are
-        left on Logic-PIM by convention (their weights are never streamed).
+        The greedy assignment.  Zero-token experts carry no time and no
+        energy, and move to Logic-PIM only as part of the lightest-first
+        prefix the greedy moves: all-zero counts leave every expert on the
+        xPU.
     """
     counts = np.asarray(token_counts, dtype=np.int64)
     if counts.ndim != 1:
@@ -210,20 +217,21 @@ def assign_experts(
     if (counts < 0).any():
         raise ConfigError("token counts must be non-negative")
     xpu_times, pim_times = lookup.unit_times(counts)
-    return assign_from_times(counts, xpu_times, pim_times, groups)
-
-
-#: Below this many movable experts the scalar greedy beats the array one.
-_SCALAR_GREEDY_MAX = 32
+    return assign_from_time_lists(
+        counts.tolist(),
+        xpu_times.tolist(),
+        pim_times.tolist(),
+        SpaceGroupPlan(int(counts.size), groups),
+    )
 
 
 def _scalar_scan(
     tokens: list[int], xpu_times: list[float], pim_times: list[float]
 ) -> tuple[list[int], int, float, float]:
-    """The greedy prefix scan on Python scalars (small movable-unit counts).
+    """The greedy prefix scan on Python scalars.
 
-    Returns (lightest-first order, units moved to PIM, xPU time, PIM time);
-    the accumulation sequence matches the array pipeline exactly.
+    Returns (lightest-first order, units moved to PIM, xPU time, PIM time),
+    accumulated in the sequence of the iterative greedy.
     """
     order = sorted(range(len(tokens)), key=tokens.__getitem__)
     xpu_total = 0.0
@@ -252,8 +260,8 @@ def _accumulate_groups(
 
     Sequential member-order Python sums reproduce the scalar group walk of
     the reference greedy bit-for-bit (numpy reductions would reassociate);
-    both greedy entry points share this single implementation so the
-    pinned accumulation order cannot drift between them.
+    :attr:`SpaceGroupPlan.member_rows` sums stage columns in the same
+    order.
     """
     tokens_acc: list[int] = []
     xpu_acc: list[float] = []
@@ -280,9 +288,9 @@ def assign_from_time_lists(
 ) -> ExpertAssignment:
     """The greedy over Python lists of precomputed per-expert times.
 
-    The all-scalar fast path for small expert counts: the stage executor's
-    per-token-count expert price cache hands times over as plain floats,
-    and every accumulation below runs in the exact sequence of the original
+    One stage's assignment: the stage executor gathers a stage's unit
+    times from its expert price table as plain floats, and every
+    accumulation below runs in the exact sequence of the original
     iterative greedy (bit-identical results, no array overhead).
     """
     if plan.singletons:
@@ -298,71 +306,49 @@ def assign_from_time_lists(
     return _expand_groups(plan, group_order, best_k, best_xpu, best_pim)
 
 
-def assign_from_times(
-    counts: np.ndarray,
-    xpu_times: np.ndarray,
-    pim_times: np.ndarray,
-    groups: SpaceGroupPlan | Sequence[Sequence[int]] | None = None,
-) -> ExpertAssignment:
-    """The greedy over precomputed per-expert unit times (validated inputs).
+def assign_columns(
+    plan: SpaceGroupPlan, tokens: np.ndarray, times: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The greedy for every stage of a run at once, one column per stage.
 
-    :class:`~repro.core.executor.StageExecutor` prices per-expert times and
-    energies from one shared array pass; this entry point lets it reuse
-    those times for the assignment instead of re-deriving them.  Pass a
-    :class:`SpaceGroupPlan` to skip per-call group validation.
+    ``tokens`` holds one device's routed counts, ``(experts, stages)``;
+    ``times`` its ``(2, experts, stages)`` xPU and Logic-PIM unit times.
+    Each column's outcome is :func:`assign_from_time_lists` on that
+    column, float for float.  Returns the per-stage makespan and the
+    ``(experts, stages)`` Logic-PIM mask.
     """
-    plan = (
-        groups if isinstance(groups, SpaceGroupPlan) else SpaceGroupPlan(int(counts.size), groups)
-    )
-    if counts.size <= _SCALAR_GREEDY_MAX or (
-        not plan.singletons and len(plan.units) <= _SCALAR_GREEDY_MAX
-    ):
-        # Small movable-unit counts: the fixed overhead of the array
-        # pipeline exceeds the whole scan; the identical greedy on Python
-        # floats (same accumulation sequence) is bit-identical and faster.
-        return assign_from_time_lists(
-            counts.tolist(), xpu_times.tolist(), pim_times.tolist(), plan
-        )
     if plan.singletons:
-        group_tokens = counts
-        group_xpu = xpu_times
-        group_pim = pim_times
+        g_tokens, g_times = tokens, times
     else:
-        tokens_acc, xpu_acc, pim_acc = _accumulate_groups(
-            counts.tolist(), xpu_times.tolist(), pim_times.tolist(), plan.units
-        )
-        group_tokens = np.asarray(tokens_acc, dtype=np.int64)
-        group_xpu = np.asarray(xpu_acc)
-        group_pim = np.asarray(pim_acc)
-
-    # Start with everything on the xPU, then move the lightest groups to
-    # Logic-PIM while the makespan improves (the paper's greedy).  Prefix k
-    # of the sorted order == "k lightest groups moved"; the cumulative sums
-    # below — seeded by the all-xPU total — reproduce the running
-    # ``-=``/``+=`` totals of the iterative version bit-for-bit.
-    order = np.argsort(group_tokens, kind="stable")
-    all_xpu = float(group_xpu.cumsum()[-1]) if group_xpu.size else 0.0
-    running_xpu = np.concatenate(([all_xpu], -group_xpu[order])).cumsum()
-    running_pim = np.concatenate(([0.0], group_pim[order])).cumsum()
-    makespans = np.maximum(running_xpu, running_pim)
-    best_k = int(makespans.argmin())  # first minimum == strict-improvement greedy
-
-    if plan.singletons:
-        xpu_experts = tuple(np.sort(order[best_k:]).tolist())
-        pim_experts = tuple(np.sort(order[:best_k]).tolist())
-        return ExpertAssignment(
-            xpu_experts=xpu_experts,
-            pim_experts=pim_experts,
-            xpu_time_s=float(running_xpu[best_k]),
-            pim_time_s=float(running_pim[best_k]),
-        )
-    return _expand_groups(
-        plan,
-        order.tolist(),
-        best_k,
-        float(running_xpu[best_k]),
-        float(running_pim[best_k]),
-    )
+        # Group sums in member order: each group's first member (copied,
+        # as a slice selects a view), then one later position at a time.
+        (_, first), *later = plan.member_rows
+        g_tokens = tokens[first].copy()
+        g_times = times[:, first].copy()
+        for groups, members in later:
+            g_tokens[groups] += tokens[members]
+            g_times[:, groups] += times[:, members]
+    n_groups, n_run = g_tokens.shape
+    cols = np.arange(n_run)
+    order = np.argsort(g_tokens, axis=0, kind="stable")
+    # Prefix k of each column's order == "k lightest groups moved": the xPU
+    # starts with every group and sheds them, Logic-PIM gains them, and the
+    # seeded cumulative sums reproduce the iterative running totals.
+    running = np.empty((2, n_groups + 1, n_run))
+    running[0, 0] = g_times[0].cumsum(axis=0)[-1]
+    running[1, 0] = 0.0
+    moved = g_times[:, order, cols]
+    np.negative(moved[0], out=running[0, 1:])
+    running[1, 1:] = moved[1]
+    running = running.cumsum(axis=1)
+    makespans = np.maximum(running[0], running[1])
+    best_k = makespans.argmin(axis=0)  # first minimum == strict improvement
+    ranks = np.empty_like(order)
+    ranks[order, cols] = np.arange(n_groups)[:, None]
+    on_pim = ranks < best_k
+    if not plan.singletons:
+        on_pim = on_pim[plan.group_of]
+    return makespans[best_k, cols], on_pim
 
 
 def _expand_groups(

@@ -29,18 +29,28 @@ Accounting conventions:
   (decoding-only stages — the dominant kind — are exact).
 * Energies are charged on *every* device that works (tensor-parallel
   replicas included), for all layers.
+
+Expert pricing: every MoE layer, of a single stage or of a steady decode
+run, reads one count-indexed table of per-unit expert times and energies
+(the runtime lookup table of Section V-B).  :meth:`StageExecutor.run_stage`
+gathers a stage's routed counts from it once as Python floats and runs
+the one-stage co-processing greedy;
+:meth:`StageExecutor.price_decode_run` gathers a run's stages as columns
+and runs the column greedy.  Both fold sums and energies in the same
+order, so a committed run equals its stages priced one by one.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.coprocessing import (
     SpaceGroupPlan,
+    assign_columns,
     assign_from_time_lists,
-    assign_from_times,
     round_robin_space_groups,
 )
 from repro.core.system import SystemConfig, SystemKind
@@ -226,11 +236,6 @@ def _stretches(widths: np.ndarray) -> tuple[list[int], list[int]]:
     return [int(widths[lo]) for lo in edges[:-1]], [hi - lo for lo, hi in zip(edges, edges[1:])]
 
 
-#: At or below this many resident experts, the scalar per-count price cache
-#: beats the batched numpy pass (dict hits vs fixed array overhead).
-_SCALAR_EXPERT_MAX = 16
-
-
 class StageExecutor:
     """Times and energises stages for one system serving one model.
 
@@ -268,21 +273,17 @@ class StageExecutor:
         self._shared_expert_cache: dict[int, tuple] = {}
         self._comm_cache: dict[int, tuple[float, float]] = {}
         self._expected_counts_cache: dict[int, np.ndarray] = {}
-        # Count-indexed expert price lookup tables for the decode-run fast
-        # path over counts 0..bound (one stacked row per table), grown by
-        # doubling when a run's routed-token bound (batch * top_k) exceeds
-        # them.  A LUT entry depends only on its own count, so indexing a
-        # larger table yields the same floats as building one per run.
-        self._run_lut_bound = -1
-        self._run_lut = np.empty((0, 0))
+        # The runtime lookup table of Section V-B extended with energies:
+        # per-unit expert prices over routed counts 0..bound (one stacked
+        # row per price), which every stage and decode run gathers from.
+        # It grows by doubling when a stage's routed count or a run's bound
+        # (batch * top_k) exceeds it.  An entry depends only on its own
+        # count, so indexing a larger table yields the same floats.
+        self._expert_lut_bound = -1
+        self._expert_lut = np.empty((0, 0))
         # Decode-attention coefficients and the units a run may pick;
         # built by the first run.
         self._attention_columns: tuple[np.ndarray, UnitColumns] | None = None
-        # Scalar per-token-count expert prices — the runtime lookup table of
-        # Section V-B extended with energies.  Decode-stage routing repeats
-        # the same small counts constantly, so small expert sets price from
-        # dict hits; large sets use the batched numpy pass instead.
-        self._expert_price_cache: dict[int, tuple] = {}
 
         if system.kind is SystemKind.HETERO:
             n_gpu, n_pim = system.hetero_gpu_count, system.hetero_pim_count
@@ -306,21 +307,20 @@ class StageExecutor:
         )
         self._xpu = self._resolve_xpu()
         self._pim = self._resolve_pim()
-        self._space_groups = (
-            round_robin_space_groups(
-                self._placement.resident_experts_per_device, system.device.num_memory_spaces
-            )
-            if model.is_moe and self._placement is not None
-            else None
-        )
-        self._assign_groups = (
-            self._space_groups if self._space_groups and len(self._space_groups) > 1 else None
-        )
-        self._assign_plan = (
-            SpaceGroupPlan(self._placement.resident_experts_per_device, self._assign_groups)
-            if model.is_moe and self._placement is not None
-            else None
-        )
+        # The co-processing greedy's move units on each device (its memory
+        # spaces, Section V-C), or None when every MoE layer of a device
+        # runs on one unit.
+        self._coprocess_plan: SpaceGroupPlan | None = None
+        if (
+            model.is_moe
+            and system.kind is SystemKind.DUPLEX
+            and system.expert_coprocessing
+            and system.device.supports_coprocessing
+        ):
+            assert self._placement is not None
+            resident = self._placement.resident_experts_per_device
+            spaces = round_robin_space_groups(resident, system.device.num_memory_spaces)
+            self._coprocess_plan = SpaceGroupPlan(resident, spaces if len(spaces) > 1 else None)
         self._n_nodes = system.topology.n_nodes
         self._n_devices = system.topology.n_devices
         self._expert_segments = self._build_expert_segments() if model.is_moe else []
@@ -596,19 +596,19 @@ class StageExecutor:
         assert self._router is not None
         self._router.route_stages(*_stretches(pricing.widths[start:end]))
 
-    def _run_luts(self, max_count: int) -> np.ndarray:
-        """Count-indexed expert price LUTs covering ``0..max_count``.
+    def _expert_table(self, max_count: int) -> np.ndarray:
+        """The count-indexed expert price table, covering ``0..max_count``.
 
-        One stacked row per table: GPU/HETERO executors get ``(time, dram,
+        One stacked row per price: GPU/HETERO executors get ``(time, dram,
         compute)``; Duplex-style two-unit executors get ``(tx, tp, dx, dp,
-        cx, cp)``.  One stack per executor, rebuilt at double its bound
-        (at least ``max_count``) when a run outgrows it.  Each LUT entry is
-        a pure function of its own count, so the grown table indexes to
-        the same floats a table bounded by this run's maximum count would.
+        cx, cp)``.  One table per executor, rebuilt at double its bound
+        (at least ``max_count``) when a stage or run outgrows it.  Each
+        entry is a pure function of its own count, so the grown table
+        indexes to the same floats a table bounded by ``max_count`` would.
         """
-        if max_count <= self._run_lut_bound:
-            return self._run_lut
-        bound = max(max_count, 2 * self._run_lut_bound)
+        if max_count <= self._expert_lut_bound:
+            return self._expert_lut
+        bound = max(max_count, 2 * self._expert_lut_bound)
         lut_counts = np.arange(bound + 1, dtype=np.int64)
         idle = lut_counts == 0
         fl, brr, bww = self.math.expert_ffn_arrays(
@@ -624,10 +624,10 @@ class StageExecutor:
         else:
             assert self._xpu is not None and self._pim is not None
             units = (self._xpu, self._pim)
-        self._run_lut_bound = bound
+        self._expert_lut_bound = bound
         # (times, dram, compute) x units, as rows.
-        self._run_lut = UnitColumns.of(units).prices(fl, brr, bww, idle).reshape(-1, bound + 1)
-        return self._run_lut
+        self._expert_lut = UnitColumns.of(units).prices(fl, brr, bww, idle).reshape(-1, bound + 1)
+        return self._expert_lut
 
     def _price_moe_run(
         self,
@@ -643,19 +643,20 @@ class StageExecutor:
         transposed once into a stage-minor layout — one row per expert (or
         space group), one column per stage — so every per-expert step is a
         contiguous vector op and every in-order sum runs down the expert
-        axis.  Per-expert prices come from a lookup table over every
-        possible count (counts are bounded by ``max_count = batch *
-        top_k``), gathered once per device segment — the exact floats the
-        per-stage array path derives, in the same accumulation order
-        (segment by segment, xPU charges before Logic-PIM).  The gate's and
-        the shared experts' time (``gate_shared_s``) and energies (the
-        seeds) are per-stage scalars or vectors; the seeds open each
-        energy fold, as they open the scalar path's MoE buckets.
+        axis.  Per-expert prices come from the expert price table over
+        every possible count (counts are bounded by ``max_count = batch *
+        top_k``), gathered once per device segment — the floats
+        :meth:`_moe_layers_time` gathers per stage, in its accumulation
+        order (segment by segment, xPU charges before Logic-PIM).  The
+        gate's and the shared experts' time (``gate_shared_s``) and
+        energies (the seeds) are per-stage scalars or vectors; the seeds
+        open each energy fold, as they open the scalar path's MoE
+        buckets.
         """
         layers = self.model.n_moe_layers
         system = self.system
         counts = np.ascontiguousarray(counts_mat.T)
-        luts = self._run_luts(max_count)
+        luts = self._expert_table(max_count)
         segments = self._expert_segments
         blocks = []
         worst = None
@@ -667,19 +668,19 @@ class StageExecutor:
                 worst = total if worst is None else np.maximum(worst, total)
             blocks.append(prices[1:] * (layers * segments[0][2]))
         else:
-            coprocess = system.expert_coprocessing and system.device.supports_coprocessing
+            plan = self._coprocess_plan
             for start, stop, multiplicity in segments:
                 seg = counts[start:stop]
                 prices = luts[:, seg]
                 seg_layers = layers * multiplicity
-                if not coprocess:
+                if plan is None:
                     x_tot = prices[0].cumsum(axis=0)[-1]
                     p_tot = prices[1].cumsum(axis=0)[-1]
                     on_xpu = x_tot <= p_tot
                     blocks.append(np.where(on_xpu, prices[2::2], prices[3::2]) * seg_layers)
                     seg_time = np.where(on_xpu, x_tot, p_tot)
                 else:
-                    seg_time, on_pim = self._coprocess_run(seg, prices[:2])
+                    seg_time, on_pim = assign_columns(plan, seg, prices[:2])
                     # (dx, dp, cx, cp) with each expert's energy kept on its
                     # unit only; as (2, 2 * experts) rows: the xPU experts'
                     # then the Logic-PIM experts' joules, dram then compute.
@@ -694,53 +695,6 @@ class StageExecutor:
         energy[1, 0] += seed_compute
         moe_energy = energy.cumsum(axis=1)[:, -1]
         return (gate_shared_s + worst) * layers, moe_energy
-
-    def _coprocess_run(
-        self, seg: np.ndarray, times: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The paper's greedy (:func:`~repro.core.coprocessing.assign_from_times`)
-        on one device's stage-minor counts and ``(2, experts, stages)``
-        xPU and Logic-PIM unit times.
-
-        Moves the lightest groups to Logic-PIM while the makespan improves,
-        for every stage column at once.  Returns the per-stage makespan
-        and the per-expert, per-stage Logic-PIM mask.
-        """
-        plan = self._assign_plan
-        assert plan is not None
-        if plan.singletons:
-            g_tokens, g_times = seg, times
-        else:
-            # Group sums in member order: each group's first member (copied,
-            # as a slice selects a view), then one later position at a time.
-            (_, first), *later = plan.member_rows
-            g_tokens = seg[first].copy()
-            g_times = times[:, first].copy()
-            for groups, members in later:
-                g_tokens[groups] += seg[members]
-                g_times[:, groups] += times[:, members]
-        n_groups, n_run = g_tokens.shape
-        cols = np.arange(n_run)
-        order = np.argsort(g_tokens, axis=0, kind="stable")
-        # Prefix k of each column's order == "k lightest groups moved": the
-        # xPU starts with every group and sheds them, Logic-PIM gains them,
-        # and the seeded cumulative sums reproduce the iterative running
-        # totals.
-        running = np.empty((2, n_groups + 1, n_run))
-        running[0, 0] = g_times[0].cumsum(axis=0)[-1]
-        running[1, 0] = 0.0
-        moved = g_times[:, order, cols]
-        np.negative(moved[0], out=running[0, 1:])
-        running[1, 1:] = moved[1]
-        running = running.cumsum(axis=1)
-        makespans = np.maximum(running[0], running[1])
-        best_k = makespans.argmin(axis=0)  # first minimum == strict improvement
-        ranks = np.empty_like(order)
-        ranks[order, cols] = np.arange(n_groups)[:, None]
-        on_pim = ranks < best_k
-        if not plan.singletons:
-            on_pim = on_pim[plan.group_of]
-        return makespans[best_k, cols], on_pim
 
     # ------------------------------------------------------------------
     # main entry
@@ -907,10 +861,22 @@ class StageExecutor:
     def _moe_layers_time(
         self, result: StageResult, workload: StageWorkload, local_tokens: int
     ) -> float:
-        """Latency contribution of all MoE layers (gate + experts)."""
+        """Latency contribution of all MoE layers (gate + experts).
+
+        Every expert's unit times and energies come from the expert price
+        table decode runs gather from (:meth:`_expert_table`), gathered
+        once per stage as Python floats.  Devices sharing one count vector
+        (tensor-parallel expert replicas, sharded-expert groups) are priced
+        once, as one segment; energy is still charged per replica via the
+        multiplicity.  On each segment the co-processing greedy splits the
+        experts between the units; without co-processing the whole layer
+        runs on the unit that finishes it sooner (the xPU on ties; GPU and
+        Hetero systems have one unit).  Sums and energy folds run in expert
+        order, xPU charges before Logic-PIM, as :meth:`_price_moe_run`
+        reproduces over a run's stages.
+        """
         assert self._router is not None
-        model = self.model
-        layers = model.n_moe_layers
+        layers = self.model.n_moe_layers
         if workload.total_tokens == 0 or layers == 0:
             return 0.0
         if self.deterministic_gating:
@@ -926,21 +892,48 @@ class StageExecutor:
             if shared is not None:
                 shared_time = self._apply_charge(result, shared, layers)
 
-        # Devices sharing the same count vector (tensor-parallel expert
-        # replicas, sharded-expert groups) are priced once via the
-        # precomputed segments; energy is still charged per replica via the
-        # multiplicity.  Single-unit systems (GPU, Hetero) price every
-        # device's experts in one batched pass; the Duplex family runs the
-        # per-device co-processing split.
-        if self.system.kind is SystemKind.GPU or self.system.kind is SystemKind.HETERO:
-            worst = self._single_unit_expert_time(result, counts, layers)
-        else:
-            worst = 0.0
-            for start, stop, multiplicity in self._expert_segments:
-                worst = max(
-                    worst,
-                    self._device_expert_time(result, counts[start:stop], layers * multiplicity),
+        tokens = counts.tolist()
+        prices = self._expert_table(max(tokens)).take(counts, axis=1).tolist()
+        # Per unit (the xPU, then Logic-PIM when there are two): times,
+        # then DRAM joules, then compute joules.
+        n_units = len(prices) // 3
+        times = prices[:n_units]
+        drams = prices[n_units : 2 * n_units]
+        computes = prices[2 * n_units :]
+        plan = self._coprocess_plan
+        dram = result.dram_energy_by_category.get(OpCategory.MOE, 0.0)
+        compute = result.compute_energy_by_category.get(OpCategory.MOE, 0.0)
+        worst = 0.0
+        for start, stop, multiplicity in self._expert_segments:
+            if plan is None:
+                unit = 0
+                seg_time = 0.0
+                for time in times[0][start:stop]:
+                    seg_time += time
+                if n_units == 2:
+                    pim_time = 0.0
+                    for time in times[1][start:stop]:
+                        pim_time += time
+                    if pim_time < seg_time:
+                        unit, seg_time = 1, pim_time
+                charged: tuple[tuple[int, Sequence[int]], ...] = ((unit, range(stop - start)),)
+            else:
+                assignment = assign_from_time_lists(
+                    tokens[start:stop], times[0][start:stop], times[1][start:stop], plan
                 )
+                seg_time = assignment.makespan_s
+                charged = ((0, assignment.xpu_experts), (1, assignment.pim_experts))
+            if seg_time > worst:
+                worst = seg_time
+            seg_layers = layers * multiplicity
+            for unit, experts in charged:
+                unit_dram = drams[unit]
+                unit_compute = computes[unit]
+                for i in experts:
+                    dram += unit_dram[start + i] * seg_layers
+                    compute += unit_compute[start + i] * seg_layers
+        result.dram_energy_by_category[OpCategory.MOE] = dram
+        result.compute_energy_by_category[OpCategory.MOE] = compute
         result.add_time(OpCategory.MOE, worst * layers)
         return (gate_time + shared_time + worst) * layers
 
@@ -994,225 +987,6 @@ class StageExecutor:
             charge = (base[0], base[1] * n, base[2] * n, base[3] * n)
             self._shared_expert_cache[local_tokens] = charge
         return charge
-
-    def _expert_price(self, tokens: int) -> tuple:
-        """Scalar price of one expert at one token count, per unit.
-
-        (xPU time, dram J, compute J, PIM time, dram J, compute J) —
-        computed once per distinct count via the scalar operator path and
-        replayed from the dict afterwards, exactly the paper's runtime
-        lookup table (Section V-B) extended with energies.  Zero-count
-        experts price to exact zeros.
-        """
-        cached = self._expert_price_cache.get(tokens)
-        if cached is None:
-            op = self.math.expert_ffn(0, tokens, self._expert_fraction)
-
-            def unit_price(unit: ProcessingUnit | None) -> tuple[float, float, float]:
-                if unit is None:
-                    return (0.0, 0.0, 0.0)
-                return (
-                    unit.op_time(op.flops, op.bytes_read, op.bytes_written),
-                    unit.dram_energy(op.bytes_read, op.bytes_written),
-                    unit.compute_energy(op.flops),
-                )
-
-            cached = unit_price(self._xpu) + unit_price(self._pim)
-            self._expert_price_cache[tokens] = cached
-        return cached
-
-    def _charge_expert_prices(
-        self, result: StageResult, prices: list[tuple], indices, offset: int, layers: int
-    ) -> None:
-        """Charge cached expert energies (offset 0 = xPU, 3 = PIM) in order."""
-        dram_bucket = result.dram_energy_by_category
-        compute_bucket = result.compute_energy_by_category
-        dram = dram_bucket.get(OpCategory.MOE, 0.0)
-        compute = compute_bucket.get(OpCategory.MOE, 0.0)
-        for i in indices:
-            price = prices[i]
-            dram += price[offset + 1] * layers
-            compute += price[offset + 2] * layers
-        dram_bucket[OpCategory.MOE] = dram
-        compute_bucket[OpCategory.MOE] = compute
-
-    def _single_unit_expert_time(
-        self, result: StageResult, counts: np.ndarray, layers: int
-    ) -> float:
-        """Worst per-device expert time when one unit runs every expert.
-
-        GPU and Hetero systems have no co-processing split, so all devices'
-        experts are priced in one pass over the global count vector — the
-        per-count price cache for small expert sets, a batched numpy pass
-        for large ones — and the per-device makespan is a max over
-        precomputed segment sums.  Times, energies, and accumulation order
-        are bit-identical to the per-device path.
-        """
-        if not counts.any():
-            return 0.0
-        on_gpu = self.system.kind is SystemKind.GPU
-        unit = self._xpu if on_gpu else self._pim
-        assert unit is not None
-        # Every partition mode yields one uniform multiplicity across its
-        # segments (see _build_expert_segments), so one energy pass covers
-        # all devices.
-        charged_layers = layers * self._expert_segments[0][2]
-        if counts.size <= _SCALAR_EXPERT_MAX:
-            price_of = self._expert_price
-            prices = [price_of(tokens) for tokens in counts.tolist()]
-            offset = 0 if on_gpu else 3
-            times = [price[offset] for price in prices]
-            worst = 0.0
-            for start, stop, _ in self._expert_segments:
-                total = 0.0
-                for time in times[start:stop]:
-                    total += time
-                if total > worst:
-                    worst = total
-            self._charge_expert_prices(
-                result, prices, range(len(prices)), offset, charged_layers
-            )
-            return worst
-        idle = counts == 0
-        flops, bytes_read, bytes_written = self.math.expert_ffn_arrays(
-            counts, self._expert_fraction, validate=False, idle=idle
-        )
-        times_list = unit.op_times(
-            flops, bytes_read, bytes_written, zero_mask=idle, validate=False
-        ).tolist()
-        worst = 0.0
-        for start, stop, _ in self._expert_segments:
-            total = 0.0
-            for time in times_list[start:stop]:
-                total += time
-            if total > worst:
-                worst = total
-        self._charge_expert_energy(
-            result, unit, flops, bytes_read, bytes_written, None, charged_layers
-        )
-        return worst
-
-    def _device_expert_time(
-        self, result: StageResult, device_counts: np.ndarray, layers: int
-    ) -> float:
-        """One device's expert time per MoE layer; charges its energy.
-
-        All resident experts are priced in one numpy pass (per-expert
-        operator fields and roofline times elementwise); energies accumulate
-        in the scalar loop's expert order, so the result is bit-identical
-        to per-expert iteration at a fraction of the cost.
-        """
-        system = self.system
-        if not device_counts.size or not device_counts.any():
-            return 0.0
-        if device_counts.size <= _SCALAR_EXPERT_MAX:
-            return self._device_expert_time_scalar(result, device_counts.tolist(), layers)
-        idle = device_counts == 0
-        flops, bytes_read, bytes_written = self.math.expert_ffn_arrays(
-            device_counts, self._expert_fraction, validate=False, idle=idle
-        )
-        if system.kind is SystemKind.GPU or system.kind is SystemKind.HETERO:
-            unit = self._xpu if system.kind is SystemKind.GPU else self._pim
-            assert unit is not None
-            times = unit.op_times(flops, bytes_read, bytes_written, zero_mask=idle, validate=False)
-            self._charge_expert_energy(result, unit, flops, bytes_read, bytes_written, None, layers)
-            return float(times.cumsum()[-1])
-        # Duplex family.
-        assert self._xpu is not None and self._pim is not None
-        xpu_times = self._xpu.op_times(flops, bytes_read, bytes_written, zero_mask=idle, validate=False)
-        pim_times = self._pim.op_times(flops, bytes_read, bytes_written, zero_mask=idle, validate=False)
-        if not system.expert_coprocessing or not system.device.supports_coprocessing:
-            # Base Duplex: the whole layer on whichever unit finishes sooner.
-            xpu_total = float(xpu_times.cumsum()[-1])
-            pim_total = float(pim_times.cumsum()[-1])
-            on_xpu = xpu_total <= pim_total
-            unit = self._xpu if on_xpu else self._pim
-            self._charge_expert_energy(result, unit, flops, bytes_read, bytes_written, None, layers)
-            return xpu_total if on_xpu else pim_total
-        assignment = assign_from_times(device_counts, xpu_times, pim_times, self._assign_plan)
-        self._charge_expert_energy(
-            result, self._xpu, flops, bytes_read, bytes_written, assignment.xpu_experts, layers
-        )
-        self._charge_expert_energy(
-            result, self._pim, flops, bytes_read, bytes_written, assignment.pim_experts, layers
-        )
-        return assignment.makespan_s
-
-    def _device_expert_time_scalar(
-        self, result: StageResult, counts: list[int], layers: int
-    ) -> float:
-        """:meth:`_device_expert_time` on the per-count price cache.
-
-        For small expert sets, per-expert dict hits beat the batched array
-        pass; time and energy values are the very scalars the array path
-        (and the original per-operator loop) computes.
-        """
-        system = self.system
-        price_of = self._expert_price
-        prices = [price_of(tokens) for tokens in counts]
-        if system.kind is SystemKind.GPU or system.kind is SystemKind.HETERO:
-            offset = 0 if system.kind is SystemKind.GPU else 3
-            total = 0.0
-            for price in prices:
-                total += price[offset]
-            self._charge_expert_prices(result, prices, range(len(prices)), offset, layers)
-            return total
-        # Duplex family.
-        xpu_times = [price[0] for price in prices]
-        pim_times = [price[3] for price in prices]
-        if not system.expert_coprocessing or not system.device.supports_coprocessing:
-            xpu_total = 0.0
-            for time in xpu_times:
-                xpu_total += time
-            pim_total = 0.0
-            for time in pim_times:
-                pim_total += time
-            on_xpu = xpu_total <= pim_total
-            self._charge_expert_prices(
-                result, prices, range(len(prices)), 0 if on_xpu else 3, layers
-            )
-            return xpu_total if on_xpu else pim_total
-        assert self._assign_plan is not None
-        assignment = assign_from_time_lists(counts, xpu_times, pim_times, self._assign_plan)
-        self._charge_expert_prices(result, prices, assignment.xpu_experts, 0, layers)
-        self._charge_expert_prices(result, prices, assignment.pim_experts, 3, layers)
-        return assignment.makespan_s
-
-    def _charge_expert_energy(
-        self,
-        result: StageResult,
-        unit: ProcessingUnit,
-        flops: np.ndarray,
-        bytes_read: np.ndarray,
-        bytes_written: np.ndarray,
-        expert_indices: tuple[int, ...] | None,
-        layers: int,
-    ) -> None:
-        """Charge one unit's expert energies into the MoE buckets.
-
-        Energies come from the unit's own batch formulas
-        (:meth:`~repro.hardware.processor.ProcessingUnit.dram_energies` /
-        :meth:`~repro.hardware.processor.ProcessingUnit.compute_energies`);
-        the cumulative sum seeded with the bucket's current value then
-        reproduces the old per-operator expert-by-expert accumulation
-        bit-for-bit.  Zero-token experts hold exact zeros and contribute
-        nothing.  ``None`` indices mean every expert of the device.
-        """
-        if expert_indices is not None:
-            if not expert_indices:
-                return
-            select = np.asarray(expert_indices, dtype=np.intp)
-            flops = flops[select]
-            bytes_read = bytes_read[select]
-            bytes_written = bytes_written[select]
-        dram = unit.dram_energies(bytes_read, bytes_written) * layers
-        compute = unit.compute_energies(flops) * layers
-        dram_bucket = result.dram_energy_by_category
-        compute_bucket = result.compute_energy_by_category
-        base = dram_bucket.get(OpCategory.MOE, 0.0)
-        dram_bucket[OpCategory.MOE] = float(np.concatenate(([base], dram)).cumsum()[-1])
-        base = compute_bucket.get(OpCategory.MOE, 0.0)
-        compute_bucket[OpCategory.MOE] = float(np.concatenate(([base], compute)).cumsum()[-1])
 
     # ------------------------------------------------------------------
     # attention unit selection

@@ -7,7 +7,10 @@ vectorized version reproduces it bit-for-bit:
 * :func:`assign_experts_reference` — the iterative co-processing greedy
   (Section V-B/V-C) behind :func:`repro.core.coprocessing.assign_experts`;
 * :func:`attention_prefill_reference` — the per-request prefill-attention
-  accumulation behind :meth:`repro.models.layers.LayerMath.attention_prefill`.
+  accumulation behind :meth:`repro.models.layers.LayerMath.attention_prefill`;
+* :func:`moe_stage_reference` — one stage's MoE charges priced expert by
+  expert from scalar operators, independent of the executor's expert
+  price table, behind :meth:`repro.core.executor.StageExecutor.run_stage`.
 
 Nothing under ``src/`` imports this module.
 """
@@ -18,8 +21,16 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.coprocessing import ExpertAssignment, ExpertTimeLookup, SpaceGroupPlan
+from repro.core.coprocessing import (
+    ExpertAssignment,
+    ExpertTimeLookup,
+    SpaceGroupPlan,
+    round_robin_space_groups,
+)
+from repro.core.executor import StageExecutor, StageWorkload
+from repro.core.system import SystemKind
 from repro.errors import ConfigError
+from repro.hardware.processor import ProcessingUnit
 from repro.models.layers import SOFTMAX_FLOPS_PER_SCORE, LayerMath
 from repro.models.ops import OpCategory, Operator
 
@@ -111,3 +122,92 @@ def attention_prefill_reference(
     return Operator(
         "attention_prefill", OpCategory.ATTENTION_PREFILL, flops, bytes_read, bytes_written
     )
+
+
+def moe_stage_reference(
+    executor: StageExecutor, workload: StageWorkload, counts: np.ndarray
+) -> tuple[float, float, float]:
+    """One stage's MoE (time, DRAM joules, compute joules), expert by expert.
+
+    ``counts`` are the stage's routed global counts.  Each bucket opens
+    with the gate's and the shared experts' charges at node 0's local
+    token count, as the executor's buckets do.  Then, on each of the
+    executor's device segments, every expert is priced from
+    :meth:`LayerMath.expert_ffn` and the unit's scalar ``op_time``,
+    ``dram_energy`` and ``compute_energy``.  Co-processing systems split
+    the segment with :func:`assign_experts_reference` over the device's
+    memory-space groups; the others run the whole segment on the unit
+    that finishes it sooner (the xPU on ties).  Energies fold in expert
+    order, the xPU's experts before Logic-PIM's, scaled by the segment's
+    device multiplicity; the worst segment's time is the layer's.
+    """
+    system, model = executor.system, executor.model
+    math = LayerMath(model)
+    layers = model.n_moe_layers
+    fraction = executor._expert_fraction
+    n_nodes = system.topology.n_nodes
+    local_tokens = len(workload.decode_context_lengths[::n_nodes]) + sum(
+        workload.prefill_lengths[::n_nodes]
+    )
+
+    time = dram = compute = 0.0
+    for charge in (
+        executor._gate_charge(local_tokens),
+        executor._shared_expert_charge(local_tokens),
+    ):
+        if charge is not None:
+            _, charge_time, charge_dram, charge_compute = charge
+            time += charge_time * layers
+            dram += charge_dram * layers
+            compute += charge_compute * layers
+
+    def price(unit: ProcessingUnit, tokens: int) -> tuple[float, float, float]:
+        op = math.expert_ffn(0, tokens, fraction)
+        return (
+            unit.op_time(op.flops, op.bytes_read, op.bytes_written),
+            unit.dram_energy(op.bytes_read, op.bytes_written),
+            unit.compute_energy(op.flops),
+        )
+
+    xpu, pim = executor._xpu, executor._pim
+    if system.kind is SystemKind.GPU:
+        units = [xpu]
+    elif system.kind is SystemKind.HETERO:
+        units = [pim]
+    else:
+        units = [xpu, pim]
+    coprocess = (
+        system.kind is SystemKind.DUPLEX
+        and system.expert_coprocessing
+        and system.device.supports_coprocessing
+    )
+    worst = 0.0
+    for start, stop, multiplicity in executor._expert_segments:
+        segment = [int(n) for n in counts[start:stop]]
+        if coprocess:
+            spaces = round_robin_space_groups(len(segment), system.device.num_memory_spaces)
+            assignment = assign_experts_reference(
+                segment,
+                ExpertTimeLookup(math, xpu, pim, fraction),
+                spaces if len(spaces) > 1 else None,
+            )
+            segment_time = assignment.makespan_s
+            charged = [(xpu, assignment.xpu_experts), (pim, assignment.pim_experts)]
+        else:
+            totals = []
+            for unit in units:
+                total = 0.0
+                for tokens in segment:
+                    total += price(unit, tokens)[0]
+                totals.append(total)
+            chosen = 0 if len(units) == 1 or totals[0] <= totals[1] else 1
+            segment_time = totals[chosen]
+            charged = [(units[chosen], range(len(segment)))]
+        worst = max(worst, segment_time)
+        for unit, experts in charged:
+            for index in experts:
+                _, expert_dram, expert_compute = price(unit, segment[index])
+                dram += expert_dram * (layers * multiplicity)
+                compute += expert_compute * (layers * multiplicity)
+    time += worst * layers
+    return time, dram, compute

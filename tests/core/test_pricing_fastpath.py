@@ -10,11 +10,15 @@ inputs far beyond what the goldens exercise:
   (the pre-vectorization per-request loop);
 * :meth:`LayerMath.expert_ffn_arrays` vs per-expert :meth:`LayerMath.expert_ffn`;
 * :meth:`ProcessingUnit.op_times` / energy batches vs the scalar calls;
-* :func:`assign_experts` (stable argsort + seeded cumulative sums, with the
-  scalar small-count path) vs :func:`assign_experts_reference` (the
-  original iterative greedy), with and without memory-space groups;
+* both co-processing greedies — :func:`assign_experts` (one stage on
+  Python floats) and :func:`assign_columns` (a run's stages as columns) —
+  vs :func:`assign_experts_reference` (the original iterative greedy),
+  with and without memory-space groups;
 * :class:`SpaceGroupPlan` member rows (stage-minor group sums) vs the
   scalar member-order group walk, on arbitrary partitions;
+* :meth:`StageExecutor.run_stage`'s MoE charges vs
+  :func:`moe_stage_reference` (every expert priced from scalar operators),
+  on every system family, for decode and mixed stages;
 * :meth:`StageExecutor.price_decode_run` vs sequential
   :meth:`StageExecutor.run_stage` calls, on every system family, for runs
   over a fixed batch and runs that pass in-batch completions (stage ``k``
@@ -36,6 +40,7 @@ from repro.core.coprocessing import (  # noqa: E402
     ExpertTimeLookup,
     SpaceGroupPlan,
     _accumulate_groups,
+    assign_columns,
     assign_experts,
     round_robin_space_groups,
 )
@@ -51,8 +56,13 @@ from repro.errors import ConfigError  # noqa: E402
 from repro.hardware.specs import h100_xpu, logic_pim_unit  # noqa: E402
 from repro.models.config import glam, mixtral  # noqa: E402
 from repro.models.layers import LayerMath  # noqa: E402
+from repro.models.ops import OpCategory  # noqa: E402
 
-from oracles import assign_experts_reference, attention_prefill_reference  # noqa: E402
+from oracles import (  # noqa: E402
+    assign_experts_reference,
+    attention_prefill_reference,
+    moe_stage_reference,
+)
 
 MODELS = {"mixtral": mixtral(), "glam": glam()}
 FRACTIONS = (1.0, 0.5, 0.25, 1.0 / 3.0, 0.125)
@@ -118,12 +128,15 @@ def test_op_time_and_energy_batches_match_scalar(counts, fraction, unit_key):
 
 @settings(max_examples=80, deadline=None)
 @given(
+    data=st.data(),
     model_key=st.sampled_from(sorted(MODELS)),
     counts=counts_strategy,
     fraction=st.sampled_from((1.0, 0.25)),
     spaces=st.integers(0, 7),
 )
-def test_greedy_assignment_matches_iterative_reference(model_key, counts, fraction, spaces):
+def test_greedy_assignment_matches_iterative_reference(
+    data, model_key, counts, fraction, spaces
+):
     lookup = ExpertTimeLookup(
         LayerMath(MODELS[model_key]), h100_xpu(), logic_pim_unit(), fraction
     )
@@ -135,6 +148,18 @@ def test_greedy_assignment_matches_iterative_reference(model_key, counts, fracti
     assert fast.pim_experts == reference.pim_experts
     assert fast.xpu_time_s == reference.xpu_time_s
     assert fast.pim_time_s == reference.pim_time_s
+    # The column greedy of decode runs, with these counts as one stage
+    # among random others.
+    n_columns = data.draw(st.integers(1, 4))
+    column = data.draw(st.integers(0, n_columns - 1))
+    others = st.lists(st.integers(0, 8000), min_size=len(counts), max_size=len(counts))
+    tokens = np.array(
+        [counts if c == column else data.draw(others) for c in range(n_columns)], dtype=np.int64
+    ).T
+    times = np.stack([np.stack(lookup.unit_times(tokens[:, c])) for c in range(n_columns)], axis=-1)
+    makespans, on_pim = assign_columns(SpaceGroupPlan(len(counts), groups), tokens, times)
+    assert makespans[column] == reference.makespan_s
+    assert tuple(np.flatnonzero(on_pim[:, column]).tolist()) == reference.pim_experts
 
 
 @settings(max_examples=80, deadline=None)
@@ -167,11 +192,13 @@ def test_member_rows_sum_groups_in_member_order(data, n_experts):
 def test_zero_and_empty_edge_cases_match():
     math = LayerMath(MODELS["mixtral"])
     lookup = ExpertTimeLookup(math, h100_xpu(), logic_pim_unit())
-    # all-zero counts: no time, everything parked on PIM by convention
+    # all-zero counts: no time, and no move improves the makespan, so
+    # every expert stays on the xPU
     outcome = assign_experts(np.zeros(6, dtype=np.int64), lookup)
     reference = assign_experts_reference(np.zeros(6, dtype=np.int64), lookup)
     assert outcome == reference
     assert outcome.makespan_s == 0.0
+    assert outcome.pim_experts == ()
     # empty prefill
     vec = math.attention_prefill([])
     ref = attention_prefill_reference(math, [])
@@ -293,6 +320,35 @@ def test_decode_run_across_completions_equals_sequential_stages(name, batch, det
     assert run_exec._router.state_snapshot() == scalar_exec._router.state_snapshot()
 
 
+@pytest.mark.parametrize("deterministic", [False, True], ids=["sampled", "deterministic"])
+@pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
+def test_stage_moe_charges_equal_scalar_reference(name, deterministic):
+    """A stage's MoE time, DRAM and compute buckets equal the expert-by-
+    expert scalar reference, float for float: a decode stage on a fresh
+    table, a mixed stage whose 4096-token prefill grows the table past
+    every run's bound, and a decode stage read from the grown table.  A
+    twin executor with the same seed supplies the routed counts."""
+    system, model = ORACLE_SYSTEMS[name]
+    executor = StageExecutor(system, model, seed=7, deterministic_gating=deterministic)
+    twin = StageExecutor(system, model, seed=7, deterministic_gating=deterministic)
+    ctx = _contexts(32)
+    for workload in (
+        StageWorkload(decode_context_lengths=ctx),
+        StageWorkload(decode_context_lengths=ctx, prefill_lengths=(4096,)),
+        StageWorkload(decode_context_lengths=ctx + 1),
+    ):
+        result = executor.run_stage(workload)
+        if deterministic:
+            counts = twin._expected_counts(workload.total_tokens)
+        else:
+            counts = twin._router.route(workload.total_tokens)
+        time, dram, compute = moe_stage_reference(twin, workload, counts)
+        assert result.time_by_category[OpCategory.MOE] == time
+        assert result.dram_energy_by_category[OpCategory.MOE] == dram
+        assert result.compute_energy_by_category[OpCategory.MOE] == compute
+    assert executor._expert_lut_bound > ctx.size * model.top_k
+
+
 @pytest.mark.parametrize("committed", [0, 1, RUN_STAGES - 1, RUN_STAGES])
 @pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
 def test_truncated_run_rewinds_gating_rng(name, committed):
@@ -350,13 +406,13 @@ def test_grown_expert_luts_equal_fresh_tables(name):
         pricing = grown.price_decode_run(ctx, RUN_STAGES)
         expected = fresh.price_decode_run(ctx, RUN_STAGES)
         bound = batch * model.top_k
-        fresh_luts = StageExecutor(system, model)._run_luts(bound)
-        assert grown._run_lut_bound >= bound
-        for lut, fresh_lut in zip(grown._run_lut, fresh_luts, strict=True):
+        fresh_luts = StageExecutor(system, model)._expert_table(bound)
+        assert grown._expert_lut_bound >= bound
+        for lut, fresh_lut in zip(grown._expert_lut, fresh_luts, strict=True):
             assert np.array_equal(lut[: bound + 1], fresh_lut)
         assert np.array_equal(pricing.latencies, expected.latencies)
         assert np.array_equal(pricing.energy, expected.energy)
         assert (pricing.fabric is None) == (expected.fabric is None)
         if pricing.fabric is not None:
             assert np.array_equal(pricing.fabric, expected.fabric)
-    assert grown._run_lut_bound == 32 * model.top_k
+    assert grown._expert_lut_bound == 32 * model.top_k
